@@ -22,12 +22,15 @@
 //!   default entry points comes from [`configured_threads`]: an explicit
 //!   [`set_threads`] call (the CLI's `--threads` flag) wins over the
 //!   `IBIS_THREADS` environment variable (the CI matrix knob), which wins
-//!   over [`default_threads`].
+//!   over [`default_threads`]. The environment and the machine are read
+//!   once per process, on first use: the degree is consulted per shard per
+//!   query, so it must cost an atomic load, not a syscall.
 
 use crate::{Error, Result};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Process-wide thread-count override installed by [`set_threads`];
 /// `0` means "not set" (fall through to `IBIS_THREADS` / auto-detect).
@@ -42,17 +45,26 @@ pub fn set_threads(n: usize) {
 
 /// The parallelism degree the engine's default entry points use:
 /// [`set_threads`] override, else `IBIS_THREADS` (if a positive integer),
-/// else [`default_threads`].
+/// else [`default_threads`]. The fallback is resolved once per process;
+/// a later [`set_threads`] still wins.
 pub fn configured_threads() -> usize {
-    let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
+    match THREAD_OVERRIDE.load(Ordering::Relaxed) {
+        0 => resolved_default(),
+        forced => forced,
     }
-    std::env::var("IBIS_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(default_threads)
+}
+
+/// `IBIS_THREADS` (if a positive integer), else [`default_threads`],
+/// resolved on the first call and cached for the life of the process.
+fn resolved_default() -> usize {
+    static RESOLVED: OnceLock<usize> = OnceLock::new();
+    *RESOLVED.get_or_init(|| {
+        std::env::var("IBIS_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(default_threads)
+    })
 }
 
 /// A sensible default worker count: available parallelism, capped at 8
@@ -165,19 +177,14 @@ impl ExecPool {
         }
 
         let run_chunk = &run_chunk;
-        // Workers run on fresh threads with no open span; adopt the span
-        // that issued the fan-out so per-worker chunk skew shows up in the
-        // profile tree.
-        let parent_span = ibis_obs::current_span_id();
+        let handoff = Handoff::capture();
         let mut parts: Vec<(Vec<U>, Option<Error>)> = Vec::with_capacity(chunks.len());
         std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .into_iter()
                 .map(|chunk| {
                     scope.spawn(move || {
-                        let mut span = ibis_obs::span_with_parent("pool.worker", parent_span);
-                        span.add_field("items", chunk.len() as u64);
-                        run_chunk(chunk)
+                        handoff.run(("items", chunk.len() as u64), || run_chunk(chunk))
                     })
                 })
                 .collect();
@@ -248,16 +255,10 @@ impl ExecPool {
             return vec![f(0)];
         }
         let f = &f;
-        let parent_span = ibis_obs::current_span_id();
+        let handoff = Handoff::capture();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.threads)
-                .map(|i| {
-                    scope.spawn(move || {
-                        let mut span = ibis_obs::span_with_parent("pool.worker", parent_span);
-                        span.add_field("worker", i as u64);
-                        f(i)
-                    })
-                })
+                .map(|i| scope.spawn(move || handoff.run(("worker", i as u64), || f(i))))
                 .collect();
             handles
                 .into_iter()
@@ -299,17 +300,17 @@ impl ExecPool {
             chunks.push(std::mem::replace(&mut items, rest));
         }
         let combine = &combine;
-        let parent_span = ibis_obs::current_span_id();
+        let handoff = Handoff::capture();
         let partials: Vec<T> = std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .into_iter()
                 .map(|chunk| {
                     scope.spawn(move || {
-                        let mut span = ibis_obs::span_with_parent("pool.worker", parent_span);
-                        span.add_field("items", chunk.len() as u64);
-                        let mut it = chunk.into_iter();
-                        let first = it.next().expect("chunks are non-empty");
-                        it.fold(first, combine)
+                        handoff.run(("items", chunk.len() as u64), || {
+                            let mut it = chunk.into_iter();
+                            let first = it.next().expect("chunks are non-empty");
+                            it.fold(first, combine)
+                        })
                     })
                 })
                 .collect();
@@ -324,6 +325,39 @@ impl ExecPool {
         let mut it = partials.into_iter();
         let first = it.next().expect("at least one chunk");
         Some(it.fold(first, combine))
+    }
+}
+
+/// The issuing thread's trace state, handed to each worker of a fan-out.
+/// Workers run on fresh threads with no open span and outside any
+/// [`ibis_obs::untraced`] scope, so both are carried over explicitly.
+#[derive(Clone, Copy)]
+struct Handoff {
+    /// The span that issued the fan-out; worker spans nest under it, so
+    /// per-worker skew shows up in the profile tree.
+    parent: u64,
+    /// Whether the issuing thread records spans at all.
+    tracing: bool,
+}
+
+impl Handoff {
+    fn capture() -> Handoff {
+        Handoff {
+            parent: ibis_obs::current_span_id(),
+            tracing: ibis_obs::is_tracing(),
+        }
+    }
+
+    /// Runs one worker's share under a `pool.worker` span carrying
+    /// `field` — or, when the issuing thread was not tracing, with span
+    /// recording off on this worker too.
+    fn run<R>(self, field: (&'static str, u64), work: impl FnOnce() -> R) -> R {
+        if !self.tracing {
+            return ibis_obs::untraced(work);
+        }
+        let mut span = ibis_obs::span_with_parent("pool.worker", self.parent);
+        span.add_field(field.0, field.1);
+        work()
     }
 }
 
@@ -505,13 +539,18 @@ mod tests {
 
     #[test]
     fn thread_override_beats_environment() {
-        // NB: set_threads is process-global; restore the unset marker so
-        // parallel-running tests that read configured_threads() only ever
-        // see a positive degree (any positive value is valid for them).
+        // NB: set_threads is process-global and cannot be unset (0 clamps
+        // to 1); parallel-running tests that read configured_threads()
+        // accept any positive degree.
+        // Resolve and cache the fallback first: an override installed
+        // afterwards must still win over it.
+        let cached = resolved_default();
+        assert!(cached >= 1);
         set_threads(3);
         assert_eq!(configured_threads(), 3);
         set_threads(0); // clamps to 1
         assert_eq!(configured_threads(), 1);
+        assert_eq!(resolved_default(), cached, "the fallback is read once");
         assert!(default_threads() >= 1);
         assert!(ExecPool::current().threads() >= 1);
         assert_eq!(ExecPool::default().threads(), ExecPool::current().threads());

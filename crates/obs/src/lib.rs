@@ -22,6 +22,13 @@
 //! allocation, no clock read, no lock — so instrumented code can stay
 //! instrumented in production builds.
 //!
+//! **Untraced scopes.** [`untraced`] switches span recording off for one
+//! thread while a closure runs, leaving every metric recording. A server
+//! runs its unsampled requests this way, so the span log holds only the
+//! trees of sampled requests, which it drains as they finish: span memory
+//! stays bounded by the requests in flight. [`is_tracing`] tells a fan-out
+//! whether to carry the untraced scope onto its workers (`ExecPool` does).
+//!
 //! `WorkCounters` live in `ibis-core`, which depends on this crate (not the
 //! other way around), keeping `ibis-obs` dependency-free.
 
@@ -41,7 +48,7 @@ pub use window::{
     merge_hist_snapshots, WindowCounterSnapshot, WindowSnapshot, WindowedCounter, WindowedHistogram,
 };
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -146,6 +153,8 @@ impl Drop for ThreadState {
 
 thread_local! {
     static TLS: RefCell<ThreadState> = RefCell::new(ThreadState::new());
+    /// Set while this thread runs inside [`untraced`].
+    static UNTRACED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Configures the process-global recorder.
@@ -191,6 +200,43 @@ impl Recorder {
 #[inline]
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
+}
+
+/// Whether a span opened on this thread now would be recorded: the
+/// recorder is enabled and the thread is not inside [`untraced`].
+#[inline]
+pub fn is_tracing() -> bool {
+    is_enabled() && !UNTRACED.with(Cell::get)
+}
+
+/// Runs `f` with span recording off on the calling thread: spans opened
+/// inside it are inert and [`current_span_id`] reports 0, as if the
+/// recorder were disabled. Counters, gauges, histograms and windows still
+/// record. Scopes nest, and the previous state comes back when `f`
+/// returns or unwinds. The scope is per thread; a fan-out that wants it on
+/// its workers checks [`is_tracing`] before spawning them and enters the
+/// scope on each.
+///
+/// ```
+/// ibis_obs::Recorder::enabled().install();
+/// ibis_obs::untraced(|| {
+///     let _quiet = ibis_obs::span("demo.untraced");
+///     ibis_obs::counter_add("demo.calls", 1);
+/// });
+/// let snap = ibis_obs::snapshot();
+/// assert!(snap.spans.is_empty());
+/// assert_eq!(snap.counters["demo.calls"], 1);
+/// ibis_obs::Recorder::disabled().install();
+/// ```
+pub fn untraced<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            UNTRACED.with(|u| u.set(self.0));
+        }
+    }
+    let _restore = Restore(UNTRACED.with(|u| u.replace(true)));
+    f()
 }
 
 /// Payload of a live, recording span.
@@ -262,10 +308,10 @@ impl Drop for SpanGuard {
 
 /// Open a span named `name`, parented to the innermost open span on this
 /// thread (or a root if there is none). Returns an inert guard when the
-/// recorder is disabled.
+/// recorder is disabled or the thread is inside [`untraced`].
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !is_enabled() {
+    if !is_tracing() {
         return SpanGuard(None);
     }
     span_slow(name, None)
@@ -276,7 +322,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// the given id becomes the parent; otherwise normal nesting wins.
 #[inline]
 pub fn span_with_parent(name: &'static str, parent: u64) -> SpanGuard {
-    if !is_enabled() {
+    if !is_tracing() {
         return SpanGuard(None);
     }
     span_slow(name, Some(parent))
@@ -304,11 +350,11 @@ fn span_slow(name: &'static str, fallback_parent: Option<u64>) -> SpanGuard {
     })
 }
 
-/// Id of the innermost open span on this thread (0 if none). Capture this
-/// before handing work to another thread and pass it to
-/// [`span_with_parent`] there.
+/// Id of the innermost open span on this thread (0 if none, or inside
+/// [`untraced`]). Capture this before handing work to another thread and
+/// pass it to [`span_with_parent`] there.
 pub fn current_span_id() -> u64 {
-    if !is_enabled() {
+    if !is_tracing() {
         return 0;
     }
     TLS.with(|tls| {
@@ -396,6 +442,48 @@ pub fn window_counter_add(name: &'static str, delta: u64) {
         .entry(name)
         .or_insert_with(window::WindowedCounter::with_defaults)
         .add_at(now, delta);
+}
+
+/// When something began, for a latency recorded later and possibly on
+/// another thread. Recording drops the sample if the recorder was
+/// reinstalled since the stamp was taken — the rule open spans follow — so
+/// a sample never straddles two recordings.
+#[derive(Clone, Copy, Debug)]
+pub struct Stamp {
+    at: Instant,
+    generation: u64,
+}
+
+impl Stamp {
+    /// Stamps the current instant under the installed recorder.
+    pub fn now() -> Stamp {
+        Stamp {
+            at: Instant::now(),
+            generation: GENERATION.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Records the microseconds elapsed since the stamp into both the
+    /// histogram and the windowed histogram `name`. A no-op when disabled
+    /// or when the recorder was reinstalled after the stamp.
+    pub fn observe_elapsed_us(&self, name: &'static str) {
+        if !is_enabled() {
+            return;
+        }
+        let us = self.at.elapsed().as_micros() as u64;
+        let now = now_ms();
+        let mut g = lock_global();
+        // `install` bumps the generation under this lock, so the check
+        // and the record cannot straddle an install.
+        if GENERATION.load(Ordering::Relaxed) != self.generation {
+            return;
+        }
+        g.histograms.entry(name).or_default().record(us);
+        g.windows
+            .entry(name)
+            .or_insert_with(window::WindowedHistogram::with_defaults)
+            .record_at(now, us);
+    }
 }
 
 /// Record `value` into the log-linear histogram `name` (no-op when
@@ -510,7 +598,8 @@ impl Registry {
 /// span reachable from `root` (including the root itself), leaving all
 /// other spans and every metric untouched. This is how a long-running
 /// server keeps span memory bounded: wrap each traced request in a root
-/// span, then drain exactly that tree once the request finishes. Returns
+/// span, then drain exactly that tree once the request finishes, and run
+/// every other request inside [`untraced`] so it leaves nothing. Returns
 /// records sorted by `(start_ns, id)`; empty when the recorder is disabled
 /// or the root was never recorded.
 pub fn drain_subtree(root: u64) -> Vec<SpanRecord> {
@@ -736,6 +825,55 @@ mod tests {
             Snapshot::from_json(&export.to_json()).unwrap().to_json(),
             export.to_json()
         );
+    }
+
+    #[test]
+    fn untraced_scope_records_metrics_but_no_spans_and_restores() {
+        let _serial = testutil::serial();
+        Recorder::enabled().install();
+        let outer = span!("outer");
+        let outer_id = outer.id();
+        untraced(|| {
+            assert!(!is_tracing());
+            assert_eq!(current_span_id(), 0);
+            let inner = span!("inner");
+            assert!(!inner.is_recording());
+            untraced(|| assert!(!is_tracing())); // nesting keeps it off
+            assert!(!is_tracing());
+            counter_add("calls", 1);
+            observe("lat", 5);
+        });
+        assert!(is_tracing());
+        assert_eq!(current_span_id(), outer_id);
+        drop(outer);
+        // An unwinding closure still restores the previous state.
+        let unwound = std::panic::catch_unwind(|| untraced(|| panic!("boom")));
+        assert!(unwound.is_err());
+        assert!(is_tracing());
+        let snap = snapshot();
+        Recorder::disabled().install();
+
+        assert_eq!(snap.spans.len(), 1);
+        assert_eq!(snap.spans[0].name, "outer");
+        assert_eq!(snap.counters["calls"], 1);
+        assert_eq!(snap.histograms["lat"].count, 1);
+    }
+
+    #[test]
+    fn stamps_record_elapsed_time_but_never_across_an_install() {
+        let _serial = testutil::serial();
+        Recorder::enabled().install();
+        let stamp = Stamp::now();
+        stamp.observe_elapsed_us("lat");
+        let snap = snapshot();
+        assert_eq!(snap.histograms["lat"].count, 1);
+        assert_eq!(snap.windows["lat"].merged().count, 1);
+        Recorder::enabled().install(); // the stamp now predates the recording
+        stamp.observe_elapsed_us("lat");
+        let snap = snapshot();
+        Recorder::disabled().install();
+        assert!(snap.histograms.is_empty());
+        assert!(snap.windows.is_empty());
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //!   at 8 workers plus an overload-shedding scenario, printing one CSV row
 //!   per scenario (and appending to `--csv PATH` if given);
 //! - `--assert`: a single moderate-rate scenario that exits non-zero unless
-//!   every request succeeded (zero errors, zero sheds) and throughput is
-//!   non-zero — the CI smoke.
+//!   every request succeeded (zero errors, zero sheds), throughput is
+//!   non-zero, and the span recorder is empty once the server has stopped
+//!   (untraced requests record no spans and traced ones drain their own) —
+//!   the CI smoke.
 
 use ibis_core::gen::{census_scaled, workload, QuerySpec};
 use ibis_core::{MissingPolicy, RangeQuery};
@@ -69,6 +71,8 @@ struct Outcome {
     p99_us: u64,
     srv: ServerSide,
     slow: Vec<ibis_server::SlowQuery>,
+    /// Spans still held by the recorder after the server stopped.
+    spans_retained: usize,
 }
 
 impl Outcome {
@@ -298,6 +302,7 @@ fn run_scenario(
         p99_us,
         srv,
         slow: report.slow_queries,
+        spans_retained: snap.spans.len(),
     }
 }
 
@@ -452,6 +457,13 @@ fn main() -> ExitCode {
         if args.assert_clean && (out.tally.shed > 0 || out.tally.expired > 0) {
             clean = false;
         }
+        if args.assert_clean && out.spans_retained > 0 {
+            eprintln!(
+                "  {}: the recorder still holds {} spans after the run",
+                sc.name, out.spans_retained
+            );
+            clean = false;
+        }
         use std::fmt::Write as _;
         let _ = writeln!(slow_dump, "# scenario {}", sc.name);
         for s in &out.slow {
@@ -489,7 +501,7 @@ fn main() -> ExitCode {
     }
 
     if args.assert_clean && !clean {
-        eprintln!("loadgen: FAILED assertion (errors, sheds, or zero throughput)");
+        eprintln!("loadgen: FAILED assertion (errors, sheds, zero throughput, or retained spans)");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -12,14 +12,30 @@
 //!   [`ErrorCode::Overloaded`] right here — load is shed at the door, so
 //!   queueing latency for admitted work stays bounded instead of
 //!   collapsing;
-//! * **per-connection writer** — drains a channel of encoded responses,
-//!   so workers and the reader never block on a slow client socket;
+//! * **per-connection writer** — drains a channel of responses, so
+//!   workers and the reader never block on a slow client socket, and
+//!   builds the connection's `STATS` replies;
 //! * **fixed worker pool** (`config.workers` threads) — each wake drains
 //!   up to `config.max_batch` queued jobs, groups the compatible ones
 //!   with [`ibis_core::coalesce_compatible`], acquires **one** lock-free
 //!   [`ConcurrentDb::snapshot`] per drain, and runs each group through
 //!   [`DbSnapshot::execute_batch_threads`](ibis_storage::DbSnapshot::execute_batch_threads)
 //!   — one dispatch amortized over the whole batch.
+//!
+//! Only sampled requests (`trace_sample`) record spans: they run under a
+//! `server.request` root span whose tree is drained into the slow-query log
+//! as they finish. Every other request runs inside
+//! [`ibis_obs::untraced`] — on its worker and on any pool worker it fans
+//! out to — so the span log never holds more than the sampled requests in
+//! flight. Counters, histograms and windows record for every request.
+//!
+//! `server.request_us` is the whole request as the server sees it: from
+//! the moment the reader has the request's frame to the moment the
+//! connection's writer has flushed the response, so the reader → worker
+//! and worker → writer hops and the send are in it. The writer records it
+//! and also builds `STATS` replies, in order, so a `STATS` sent after a
+//! response arrived always counts that response. The slow-query log's
+//! `total_us` stays queue wait plus execution, which its phases add up to.
 //!
 //! Deadlines are enforced at the two scheduling boundaries: a job whose
 //! deadline expired while queued is shed *before* execution, and a job
@@ -82,17 +98,44 @@ impl Default for ServerConfig {
     }
 }
 
+/// What a connection's writer sends, in the order it was handed over.
+enum Reply {
+    /// A response to `request_id`. Executed queries carry the stamp of the
+    /// moment their frame was read; the writer records `server.request_us`
+    /// from it once the response is flushed.
+    Response(u64, Response, Option<ibis_obs::Stamp>),
+    /// A `STATS` request. The writer builds the report when it reaches it,
+    /// so the report counts every response flushed before it on this
+    /// connection, `request_us` included.
+    Stats { request_id: u64, include_slow: bool },
+}
+
 /// One admitted query waiting for a worker.
 struct Job {
     request_id: u64,
     query: RangeQuery,
     count_only: bool,
     deadline: Instant,
+    /// When the reader had the request's frame.
+    received: ibis_obs::Stamp,
     enqueued: Instant,
     /// Sampled for tracing: executes solo under a `server.request` root
     /// span and feeds the slow-query log.
     traced: bool,
-    reply: mpsc::Sender<(u64, Response)>,
+    reply: mpsc::Sender<Reply>,
+}
+
+impl Job {
+    /// Hands an executed query's response to the connection's writer.
+    fn respond(&self, response: Response) {
+        ibis_obs::counter_add("server.responses", 1);
+        ibis_obs::window_counter_add("server.responses", 1);
+        let _ = self.reply.send(Reply::Response(
+            self.request_id,
+            response,
+            Some(self.received),
+        ));
+    }
 }
 
 /// State shared by the accept loop, readers, and the worker pool.
@@ -270,38 +313,63 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     if write_handshake(&mut stream).is_err() {
         return;
     }
-    let (reply_tx, reply_rx) = mpsc::channel::<(u64, Response)>();
-    let writer = std::thread::spawn(move || {
-        let mut w = BufWriter::new(stream);
-        while let Ok((id, resp)) = reply_rx.recv() {
-            let (kind, body) = resp.encode();
-            if write_frame(&mut w, id, kind, &body)
-                .and_then(|_| w.flush())
-                .is_err()
-            {
-                break;
+    let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
+    let writer = {
+        let shared = Arc::clone(shared);
+        std::thread::spawn(move || {
+            let mut w = BufWriter::new(stream);
+            while let Ok(reply) = reply_rx.recv() {
+                let (id, resp, received) = match reply {
+                    Reply::Response(id, resp, received) => (id, resp, received),
+                    Reply::Stats {
+                        request_id,
+                        include_slow,
+                    } => {
+                        ibis_obs::counter_add("server.stats_requests", 1);
+                        let report = build_stats(&shared, include_slow);
+                        (request_id, Response::Stats(Box::new(report)), None)
+                    }
+                };
+                let (kind, body) = resp.encode();
+                if write_frame(&mut w, id, kind, &body)
+                    .and_then(|_| w.flush())
+                    .is_err()
+                {
+                    break;
+                }
+                if let Some(received) = received {
+                    received.observe_elapsed_us("server.request_us");
+                }
             }
-        }
-    });
+        })
+    };
 
     while !shared.shutdown.load(Ordering::SeqCst) {
         match read_frame(&mut reader) {
             Ok(frame) => {
+                let received = ibis_obs::Stamp::now();
                 let request_id = frame.request_id;
                 match Request::decode(&frame) {
                     Ok(Request::Ping) => {
-                        let _ = reply_tx.send((request_id, Response::Pong));
+                        let _ = reply_tx.send(Reply::Response(request_id, Response::Pong, None));
                     }
-                    // STATS and HEALTH are answered right here on the
-                    // reader thread, never enqueued: telemetry must stay
-                    // observable while the worker pool is saturated.
+                    // STATS and HEALTH are never enqueued: telemetry must
+                    // stay observable while the worker pool is saturated.
+                    // HEALTH is answered right here; STATS is built by this
+                    // connection's writer, behind the responses it has
+                    // already been handed.
                     Ok(Request::Stats { include_slow }) => {
-                        ibis_obs::counter_add("server.stats_requests", 1);
-                        let report = build_stats(shared, include_slow);
-                        let _ = reply_tx.send((request_id, Response::Stats(Box::new(report))));
+                        let _ = reply_tx.send(Reply::Stats {
+                            request_id,
+                            include_slow,
+                        });
                     }
                     Ok(Request::Health) => {
-                        let _ = reply_tx.send((request_id, Response::Health(build_health(shared))));
+                        let _ = reply_tx.send(Reply::Response(
+                            request_id,
+                            Response::Health(build_health(shared)),
+                            None,
+                        ));
                     }
                     Ok(Request::Query {
                         query,
@@ -311,6 +379,7 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                         admit(
                             shared,
                             request_id,
+                            received,
                             query,
                             count_only,
                             deadline_ms,
@@ -319,12 +388,13 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                     }
                     Err(reason) => {
                         ibis_obs::counter_add("server.bad_requests", 1);
-                        let _ = reply_tx.send((
+                        let _ = reply_tx.send(Reply::Response(
                             request_id,
                             Response::Error {
                                 code: ErrorCode::BadRequest,
                                 message: reason,
                             },
+                            None,
                         ));
                     }
                 }
@@ -335,12 +405,13 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 // a clean client close (EOF) is not reported.
                 if e.kind() == ErrorKind::InvalidData {
                     ibis_obs::counter_add("server.protocol_errors", 1);
-                    let _ = reply_tx.send((
+                    let _ = reply_tx.send(Reply::Response(
                         0,
                         Response::Error {
                             code: ErrorCode::BadRequest,
                             message: format!("protocol error: {e}"),
                         },
+                        None,
                     ));
                 }
                 break;
@@ -359,10 +430,11 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
 fn admit(
     shared: &Shared,
     request_id: u64,
+    received: ibis_obs::Stamp,
     query: RangeQuery,
     count_only: bool,
     deadline_ms: u32,
-    reply: &mpsc::Sender<(u64, Response)>,
+    reply: &mpsc::Sender<Reply>,
 ) {
     ibis_obs::counter_add("server.requests", 1);
     // Schema validation happens at the door, not in the worker: a query
@@ -370,12 +442,13 @@ fn admit(
     // poison a batch it later shares with well-formed queries.
     if let Err(e) = query.validate(shared.db.snapshot().db().schema()) {
         ibis_obs::counter_add("server.bad_requests", 1);
-        let _ = reply.send((
+        let _ = reply.send(Reply::Response(
             request_id,
             Response::Error {
                 code: ErrorCode::BadRequest,
                 message: format!("invalid search key: {e}"),
             },
+            None,
         ));
         return;
     }
@@ -390,6 +463,7 @@ fn admit(
         query,
         count_only,
         deadline: now + Duration::from_millis(budget),
+        received,
         enqueued: now,
         traced: false,
         reply: reply.clone(),
@@ -399,7 +473,7 @@ fn admit(
         drop(q);
         ibis_obs::counter_add("server.shed_overload", 1);
         ibis_obs::window_counter_add("server.shed", 1);
-        let _ = reply.send((
+        let _ = reply.send(Reply::Response(
             request_id,
             Response::Error {
                 code: ErrorCode::Overloaded,
@@ -408,6 +482,7 @@ fn admit(
                     shared.config.queue_high_water
                 ),
             },
+            None,
         ));
         return;
     }
@@ -466,12 +541,13 @@ fn execute_jobs(shared: &Shared, jobs: Vec<Job>) {
     for j in expired {
         ibis_obs::counter_add("server.shed_deadline", 1);
         ibis_obs::window_counter_add("server.expired", 1);
-        let _ = j.reply.send((
+        let _ = j.reply.send(Reply::Response(
             j.request_id,
             Response::Error {
                 code: ErrorCode::DeadlineExceeded,
                 message: "deadline expired while queued".into(),
             },
+            None,
         ));
     }
     if live.is_empty() {
@@ -492,9 +568,15 @@ fn execute_jobs(shared: &Shared, jobs: Vec<Job>) {
     for j in traced {
         execute_traced(shared, &snap, j);
     }
-    if live.is_empty() {
-        return;
+    if !live.is_empty() {
+        ibis_obs::untraced(|| execute_batched(shared, &snap, &live));
     }
+}
+
+/// Coalesces the unsampled jobs of one drain into batches and executes
+/// each batch in one dispatch. Runs inside [`ibis_obs::untraced`]: these
+/// requests record metrics but no spans.
+fn execute_batched(shared: &Shared, snap: &DbSnapshot, live: &[Job]) {
     let queries: Vec<RangeQuery> = live.iter().map(|j| j.query.clone()).collect();
     for batch in coalesce_compatible(&queries, shared.config.max_batch) {
         let batch_queries: Vec<RangeQuery> = batch.iter().map(|&i| queries[i].clone()).collect();
@@ -534,12 +616,7 @@ fn execute_jobs(shared: &Shared, jobs: Vec<Job>) {
                         "server.queue_wait_us",
                         started.duration_since(j.enqueued).as_micros() as u64,
                     );
-                    let request_us = done.duration_since(j.enqueued).as_micros() as u64;
-                    ibis_obs::observe("server.request_us", request_us);
-                    ibis_obs::window_observe("server.request_us", request_us);
-                    ibis_obs::counter_add("server.responses", 1);
-                    ibis_obs::window_counter_add("server.responses", 1);
-                    let _ = j.reply.send((j.request_id, resp));
+                    j.respond(resp);
                 }
             }
             Err(_) => {
@@ -564,9 +641,7 @@ fn execute_jobs(shared: &Shared, jobs: Vec<Job>) {
                             }
                         }
                     };
-                    ibis_obs::counter_add("server.responses", 1);
-                    ibis_obs::window_counter_add("server.responses", 1);
-                    let _ = j.reply.send((j.request_id, resp));
+                    j.respond(resp);
                 }
             }
         }
@@ -593,7 +668,6 @@ fn execute_traced(shared: &Shared, snap: &Arc<DbSnapshot>, j: Job) {
 
     let exec_us = done.duration_since(started).as_micros() as u64;
     let queue_us = started.duration_since(j.enqueued).as_micros() as u64;
-    let request_us = done.duration_since(j.enqueued).as_micros() as u64;
     ibis_obs::counter_add("server.traced", 1);
     ibis_obs::observe("server.exec_us", exec_us);
     ibis_obs::window_observe("server.exec_us", exec_us);
@@ -609,7 +683,7 @@ fn execute_traced(shared: &Shared, snap: &Arc<DbSnapshot>, j: Job) {
                     plan: j.query.to_string(),
                     queue_us,
                     exec_us,
-                    total_us: request_us,
+                    total_us: done.duration_since(j.enqueued).as_micros() as u64,
                     counters: counters
                         .fields()
                         .iter()
@@ -646,11 +720,7 @@ fn execute_traced(shared: &Shared, snap: &Arc<DbSnapshot>, j: Job) {
             }
         }
     };
-    ibis_obs::observe("server.request_us", request_us);
-    ibis_obs::window_observe("server.request_us", request_us);
-    ibis_obs::counter_add("server.responses", 1);
-    ibis_obs::window_counter_add("server.responses", 1);
-    let _ = j.reply.send((j.request_id, resp));
+    j.respond(resp);
 }
 
 /// Aggregate a drained span tree (minus its root) into per-phase totals.

@@ -173,10 +173,6 @@ pub struct Plan {
     /// Histogram-based estimate of matching base rows (independence
     /// assumption across attributes; exact for one-attribute keys).
     pub estimated_rows: f64,
-    /// Worker threads the executor will use for this query (the configured
-    /// degree: `set_threads` override, else `IBIS_THREADS`, else the
-    /// machine default). Results are identical for any value.
-    pub parallelism: usize,
 }
 
 /// An incomplete relation with maintained indexes and an append delta.
@@ -204,7 +200,7 @@ pub struct IncompleteDb {
     base: Arc<Dataset>,
     /// The engine-layer registry: one entry per maintained index, plus the
     /// always-on sequential scan in last position.
-    methods: Vec<Arc<dyn AccessMethod>>,
+    methods: Vec<Registered>,
     /// Appended rows not yet folded into the indexes, row-major.
     delta: Vec<Vec<Cell>>,
     /// Tombstoned row ids (base or delta numbering), applied as a result
@@ -219,10 +215,7 @@ impl std::fmt::Debug for IncompleteDb {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IncompleteDb")
             .field("config", &self.config)
-            .field(
-                "methods",
-                &self.methods.iter().map(|m| m.name()).collect::<Vec<_>>(),
-            )
+            .field("methods", &self.method_names())
             .field("n_rows", &self.n_rows())
             .field("delta_rows", &self.delta.len())
             .field("deleted", &self.deleted.len())
@@ -230,10 +223,20 @@ impl std::fmt::Debug for IncompleteDb {
     }
 }
 
+/// One registry entry: an access method and its storage footprint,
+/// measured once when the registry is built. The planner's tie-breaker and
+/// [`IncompleteDb::index_bytes`] read the recorded size; measuring it
+/// walks every bitmap of the index.
+#[derive(Clone)]
+struct Registered {
+    method: Arc<dyn AccessMethod>,
+    size_bytes: usize,
+}
+
 /// Builds the access-method registry for `base` under `config`. The
 /// sequential scan always comes last, so indexes win registration-order
 /// ties against it.
-fn build_methods(config: DbConfig, base: &Arc<Dataset>) -> Vec<Arc<dyn AccessMethod>> {
+fn build_methods(config: DbConfig, base: &Arc<Dataset>) -> Vec<Registered> {
     let mut methods: Vec<Arc<dyn AccessMethod>> = Vec::new();
     if config.bee {
         methods.push(Arc::new(EqualityBitmapIndex::<Wah>::build(base)));
@@ -258,6 +261,12 @@ fn build_methods(config: DbConfig, base: &Arc<Dataset>) -> Vec<Arc<dyn AccessMet
     }
     methods.push(Arc::new(SequentialScan.bind(Arc::clone(base))));
     methods
+        .into_iter()
+        .map(|method| Registered {
+            size_bytes: method.size_bytes(),
+            method,
+        })
+        .collect()
 }
 
 impl IncompleteDb {
@@ -317,12 +326,13 @@ impl IncompleteDb {
 
     /// Names of the registered access methods, in planning order.
     pub fn method_names(&self) -> Vec<&'static str> {
-        self.methods.iter().map(|m| m.name()).collect()
+        self.methods.iter().map(|r| r.method.name()).collect()
     }
 
-    /// Total bytes held by the maintained indexes.
+    /// Total bytes held by the maintained indexes (recorded when they were
+    /// built).
     pub fn index_bytes(&self) -> usize {
-        self.methods.iter().map(|m| m.size_bytes()).sum()
+        self.methods.iter().map(|r| r.size_bytes).sum()
     }
 
     /// Appends one row (validated against the schema). The row lands in the
@@ -417,11 +427,11 @@ impl IncompleteDb {
         let candidates: Vec<CandidatePlan> = self
             .methods
             .iter()
-            .filter(|m| m.supports(query))
-            .map(|m| CandidatePlan {
-                name: m.name(),
-                estimated_cost: m.estimated_cost(query),
-                size_bytes: m.size_bytes(),
+            .filter(|r| r.method.supports(query))
+            .map(|r| CandidatePlan {
+                name: r.method.name(),
+                estimated_cost: r.method.estimated_cost(query),
+                size_bytes: r.size_bytes,
             })
             .collect();
         let mut best = 0;
@@ -442,7 +452,6 @@ impl IncompleteDb {
             candidates,
             delta_rows: self.delta.len(),
             estimated_rows: self.estimate_rows(query),
-            parallelism: ibis_core::parallel::configured_threads(),
         })
     }
 
@@ -472,7 +481,8 @@ impl IncompleteDb {
         let method = self
             .methods
             .iter()
-            .find(|m| m.name() == plan.chosen)
+            .find(|r| r.method.name() == plan.chosen)
+            .map(|r| &r.method)
             .expect("chosen from this registry");
         let (base_rows, mut counters) = method.execute_with_cost_threads(query, threads)?;
         counters.entries_scanned = counters.entries_scanned.saturating_add(self.delta.len());
@@ -1243,7 +1253,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_reports_parallelism_and_answers_are_degree_independent() {
+    fn answers_are_degree_independent() {
         let data = census_scaled(300, 411);
         let mut d = IncompleteDb::new(data.clone());
         d.insert(&vec![m(); data.n_attrs()]).unwrap();
@@ -1253,8 +1263,6 @@ mod tests {
             MissingPolicy::IsMatch,
         )
         .unwrap();
-        let plan = d.explain(&q).unwrap();
-        assert!(plan.parallelism >= 1);
         let seq = d.execute_threads(&q, 1).unwrap();
         for threads in [2, 4, 8] {
             assert_eq!(d.execute_threads(&q, threads).unwrap(), seq, "t={threads}");
@@ -1570,6 +1578,38 @@ mod sharded_tests {
             assert_eq!(rows, rows1, "t={threads}");
             assert_eq!(c, c1, "t={threads}");
         }
+    }
+
+    #[test]
+    fn recorded_sizes_match_fresh_measurement_after_compaction() {
+        let data = census_scaled(240, 423);
+        let mut db = ShardedDb::with_config(data.clone(), 100, DbConfig::all());
+        for r in 0..30 {
+            db.insert(&data.row(r)).unwrap();
+        }
+        db.delete(7);
+        assert!(db.compact() > 0, "inserts and a delete dirty some shards");
+        let q = RangeQuery::new(
+            vec![Predicate::range(0, 1, 2), Predicate::range(1, 1, 3)],
+            MissingPolicy::IsMatch,
+        )
+        .unwrap();
+        let mut candidate_total = 0;
+        for shard in &db.shards {
+            let plan = shard.db.explain(&q).unwrap();
+            assert_eq!(plan.candidates.len(), shard.db.methods.len());
+            for c in &plan.candidates {
+                let method = shard
+                    .db
+                    .methods
+                    .iter()
+                    .find(|r| r.method.name() == c.name)
+                    .unwrap();
+                assert_eq!(c.size_bytes, method.method.size_bytes(), "{}", c.name);
+                candidate_total += c.size_bytes;
+            }
+        }
+        assert_eq!(db.index_bytes(), candidate_total);
     }
 
     #[test]
