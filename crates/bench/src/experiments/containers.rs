@@ -12,7 +12,7 @@
 use crate::config::Scale;
 use crate::experiments::harness::{time_methods, uniform_group};
 use crate::report::{fmt_kb, fmt_ms, fmt_ratio, Table};
-use ibis_bitmap::{AdaptiveBitmapIndex, EqualityBitmapIndex};
+use ibis_bitmap::EqualityBitmapIndex;
 use ibis_bitvec::{Adaptive, Bbc, BitStore, BitVec64, Wah};
 use ibis_core::gen::{workload, QuerySpec};
 use ibis_core::{AccessMethod, Dataset, MissingPolicy};
@@ -102,7 +102,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
         let (plain, plain_build) = crate::time_ms(|| EqualityBitmapIndex::<BitVec64>::build(&d));
         let (wah, wah_build) = crate::time_ms(|| EqualityBitmapIndex::<Wah>::build(&d));
         let (bbc, bbc_build) = crate::time_ms(|| EqualityBitmapIndex::<Bbc>::build(&d));
-        let (adaptive, adaptive_build) = crate::time_ms(|| AdaptiveBitmapIndex::build(&d));
+        let (adaptive, adaptive_build) =
+            crate::time_ms(|| EqualityBitmapIndex::<Adaptive>::build(&d));
         let sizes = [
             plain.size_report(),
             wah.size_report(),

@@ -1,9 +1,9 @@
 //! Bitmap Equality Encoding (BEE) — §4.2 of the paper.
 
 use crate::cost::QueryCost;
-use crate::engine::BitmapExec;
+use crate::engine::{self, BitmapExec};
 use crate::size::{AttrSize, SizeReport};
-use ibis_bitvec::BitStore;
+use ibis_bitvec::{Adaptive, BitStore};
 use ibis_core::{AccessMethod, Dataset, Interval, MissingPolicy, RangeQuery, Result, RowSet};
 
 /// Equality-encoded bitmap index over an incomplete relation.
@@ -20,6 +20,34 @@ use ibis_core::{AccessMethod, Dataset, Interval, MissingPolicy, RangeQuery, Resu
 /// cheaper of the in-range or out-of-range bitmap sets (complementing in the
 /// latter case), giving the paper's worst-case bound of
 /// `min(AS, 1−AS)·C + 1` bitmap reads per dimension.
+///
+/// Over the [`Adaptive`] container backend the index registers with the
+/// planner as `"bitmap-adaptive"` and scales its cost estimate by its
+/// measured compression ratio; every other backend is `"bitmap-equality"`
+/// priced at the uncompressed §6 bound.
+///
+/// ```
+/// use ibis_bitmap::EqualityBitmapIndex;
+/// use ibis_bitvec::Adaptive;
+/// use ibis_core::{AccessMethod, Cell, Dataset, MissingPolicy, Predicate, RangeQuery};
+///
+/// let data = Dataset::from_rows(
+///     &[("grade", 5)],
+///     &[vec![Cell::present(4)], vec![Cell::MISSING], vec![Cell::present(1)]],
+/// )?;
+/// let idx = EqualityBitmapIndex::<Adaptive>::build(&data);
+/// assert_eq!(idx.name(), "bitmap-adaptive");
+/// let q = RangeQuery::new(vec![Predicate::range(0, 3, 5)], MissingPolicy::IsMatch)?;
+/// let (rows, cost) = idx.execute_with_cost(&q)?;
+/// assert_eq!(rows.rows(), &[0, 1]); // row 1 matches via missing
+/// // Every operand container is classified by shape: under 2^16 rows each
+/// // bitmap is one container, read once per lookup or operation.
+/// assert_eq!(
+///     cost.containers_array + cost.containers_bitmap + cost.containers_run,
+///     cost.bitmaps_accessed + cost.logical_ops,
+/// );
+/// # Ok::<(), ibis_core::Error>(())
+/// ```
 #[derive(Clone, Debug)]
 pub struct EqualityBitmapIndex<B: BitStore> {
     attrs: Vec<BeeAttr<B>>,
@@ -174,8 +202,7 @@ impl<B: BitStore> EqualityBitmapIndex<B> {
             if policy == MissingPolicy::IsMatch {
                 if let Some(m) = &a.missing {
                     cost.read_bitmap();
-                    cost.op();
-                    acc = acc.or(m);
+                    acc = engine::or(&acc, m, cost);
                 }
             }
             acc
@@ -188,19 +215,13 @@ impl<B: BitStore> EqualityBitmapIndex<B> {
                 if let Some(m) = &a.missing {
                     cost.read_bitmap();
                     acc = Some(match acc {
-                        Some(x) => {
-                            cost.op();
-                            x.or(m)
-                        }
-                        None => m.clone(),
+                        Some(x) => engine::or(&x, m, cost),
+                        None => engine::read(m, cost),
                     });
                 }
             }
             match acc {
-                Some(x) => {
-                    cost.op();
-                    x.not()
-                }
+                Some(x) => engine::not(&x, cost),
                 None => B::ones(self.n_rows), // full-domain range, no exclusions
             }
         }
@@ -210,7 +231,7 @@ impl<B: BitStore> EqualityBitmapIndex<B> {
     /// ([`AccessMethod::execute`] / [`AccessMethod::execute_count`] cover
     /// the plain and counting forms.)
     pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, QueryCost)> {
-        crate::engine::run_with_cost(self, query)
+        engine::run_with_cost(self, query)
     }
 }
 
@@ -240,9 +261,18 @@ impl<B: BitStore> BitmapExec for EqualityBitmapIndex<B> {
     }
 }
 
+/// `true` when `B` is the adaptive container store.
+fn is_adaptive<B: BitStore>() -> bool {
+    B::backend_name() == Adaptive::backend_name()
+}
+
 impl<B: BitStore> AccessMethod for EqualityBitmapIndex<B> {
     fn name(&self) -> &'static str {
-        "bitmap-equality"
+        if is_adaptive::<B>() {
+            "bitmap-adaptive"
+        } else {
+            "bitmap-equality"
+        }
     }
 
     fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, QueryCost)> {
@@ -254,7 +284,7 @@ impl<B: BitStore> AccessMethod for EqualityBitmapIndex<B> {
         query: &RangeQuery,
         threads: usize,
     ) -> Result<(RowSet, QueryCost)> {
-        crate::engine::run_with_cost_threads(self, query, threads)
+        engine::run_with_cost_threads(self, query, threads)
     }
 
     fn size_bytes(&self) -> usize {
@@ -262,12 +292,42 @@ impl<B: BitStore> AccessMethod for EqualityBitmapIndex<B> {
     }
 
     fn execute_count(&self, query: &RangeQuery) -> Result<usize> {
-        crate::engine::run_count(self, query)
+        engine::run_count(self, query)
     }
 
-    // §6: min(AS, 1−AS)·C + 1 bitmaps per dimension, scaled to words.
+    // §6: min(AS, 1−AS)·C + 1 bitmaps per dimension, scaled to words. The
+    // adaptive store scales that uncompressed bound down by its measured
+    // compression ratio, since its operations only touch stored container
+    // words.
     fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        crate::engine::estimate_words(self, query, |w, c| w.min(c - w) + 1.0)
+        let bound = engine::estimate_words(self, query, |w, c| w.min(c - w) + 1.0);
+        if !is_adaptive::<B>() {
+            return bound;
+        }
+        let uncompressed = engine::words_per_bitmap(self.n_rows) * self.n_bitmaps() as f64;
+        if uncompressed == 0.0 {
+            return bound;
+        }
+        let ratio = (self.size_bytes() as f64 / 8.0) / uncompressed;
+        bound * ratio.min(1.0)
+    }
+}
+
+impl EqualityBitmapIndex<Adaptive> {
+    /// How many stored containers currently sit in each shape, as
+    /// `(array, bitmap, run)` — the census the containers experiment
+    /// reports.
+    pub fn container_census(&self) -> (usize, usize, usize) {
+        let mut total = (0, 0, 0);
+        for a in &self.attrs {
+            for b in a.values.iter().chain(a.missing.iter()) {
+                let (ar, bm, rn) = b.kind_counts();
+                total.0 += ar;
+                total.1 += bm;
+                total.2 += rn;
+            }
+        }
+        total
     }
 }
 
@@ -376,7 +436,7 @@ mod tests {
 
     /// The paper's Table 1/2 worked example: one attribute, cardinality 5,
     /// ten records, rows 4 and 9 missing (1-based).
-    fn table1() -> Dataset {
+    pub(super) fn table1() -> Dataset {
         Dataset::from_rows(
             &[("a1", 5)],
             &[
@@ -540,10 +600,9 @@ mod tests {
         assert!(report.total_bytes() > 0);
     }
 
-    #[test]
-    fn differential_vs_scan_exhaustive_intervals() {
+    fn differential_vs_scan<B: BitStore>() {
         let d = table1();
-        let idx = EqualityBitmapIndex::<Wah>::build(&d);
+        let idx = EqualityBitmapIndex::<B>::build(&d);
         for policy in MissingPolicy::ALL {
             for lo in 1..=5u16 {
                 for hi in lo..=5u16 {
@@ -551,11 +610,262 @@ mod tests {
                     assert_eq!(
                         idx.execute(&q).unwrap(),
                         scan::execute(&d, &q),
-                        "{policy} [{lo},{hi}]"
+                        "{} {policy} [{lo},{hi}]",
+                        B::backend_name()
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn differential_vs_scan_exhaustive_intervals() {
+        differential_vs_scan::<Wah>();
+        differential_vs_scan::<BitVec64>();
+        differential_vs_scan::<ibis_bitvec::Bbc>();
+        differential_vs_scan::<Adaptive>();
+    }
+}
+
+/// Measured `words_processed`, and the adaptive store's container counters
+/// and compression-scaled estimate.
+#[cfg(test)]
+mod counter_tests {
+    use super::*;
+    use ibis_bitvec::{Bbc, BitVec64, Wah};
+    use ibis_core::gen::{census_scaled, synthetic_scaled};
+    use ibis_core::{Cell, Predicate};
+
+    use super::tests::table1;
+
+    fn three_predicates(policy: MissingPolicy) -> RangeQuery {
+        RangeQuery::new(
+            vec![
+                Predicate::range(100, 1, 2),
+                Predicate::point(107, 3),
+                Predicate::range(213, 2, 8),
+            ],
+            policy,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn bitmap_and_op_counts_do_not_depend_on_the_backend() {
+        // Same Fig. 2 evaluation on every store → same rows,
+        // bitmaps_accessed and logical_ops; only the words differ.
+        let d = synthetic_scaled(400, 7);
+        let wah = EqualityBitmapIndex::<Wah>::build(&d);
+        for policy in MissingPolicy::ALL {
+            let q = three_predicates(policy);
+            let (rows, c) = wah.execute_with_cost(&q).unwrap();
+            let others = [
+                EqualityBitmapIndex::<BitVec64>::build(&d).execute_with_cost(&q),
+                EqualityBitmapIndex::<Bbc>::build(&d).execute_with_cost(&q),
+                EqualityBitmapIndex::<Adaptive>::build(&d).execute_with_cost(&q),
+            ];
+            for (rows_o, c_o) in others.map(Result::unwrap) {
+                assert_eq!(rows_o, rows, "{policy}");
+                assert_eq!(c_o.bitmaps_accessed, c.bitmaps_accessed, "{policy}");
+                assert_eq!(c_o.logical_ops, c.logical_ops, "{policy}");
+            }
+        }
+    }
+
+    #[test]
+    fn plain_words_are_one_bitmap_per_read_and_op_plus_the_and_reduce() {
+        // Every uncompressed operand is ⌈n/64⌉ words. A lookup feeds exactly
+        // one OR (or is taken as it is), and an OR chain's accumulator feeds
+        // the next op, so inside an interval the words are (reads + ops)
+        // bitmaps' worth; each of the k − 1 ANDs of the reduce then reads
+        // both of its operands.
+        let d = synthetic_scaled(400, 7);
+        let idx = EqualityBitmapIndex::<BitVec64>::build(&d);
+        for policy in MissingPolicy::ALL {
+            let q = three_predicates(policy);
+            let (_, c) = idx.execute_with_cost(&q).unwrap();
+            let k = q.dimensionality();
+            assert_eq!(
+                c.words_processed,
+                (c.bitmaps_accessed + c.logical_ops + k - 1) * 400usize.div_ceil(64),
+                "{policy}"
+            );
+        }
+    }
+
+    #[test]
+    fn wah_words_are_measured_below_the_uncompressed_floor() {
+        // Census columns are mostly missing or skewed, so their WAH
+        // bitmaps compress well; measured words must come in under the
+        // plain store's for the same bitmaps and operations.
+        let d = census_scaled(20_000, 3);
+        let plain = EqualityBitmapIndex::<BitVec64>::build(&d);
+        let wah = EqualityBitmapIndex::<Wah>::build(&d);
+        for policy in MissingPolicy::ALL {
+            let q = RangeQuery::new(
+                vec![Predicate::range(15, 10, 30), Predicate::range(47, 1, 40)],
+                policy,
+            )
+            .unwrap();
+            let (rows_p, cost_p) = plain.execute_with_cost(&q).unwrap();
+            let (rows_w, cost_w) = wah.execute_with_cost(&q).unwrap();
+            assert_eq!(rows_w, rows_p, "{policy}");
+            assert_eq!(cost_w.bitmaps_accessed, cost_p.bitmaps_accessed, "{policy}");
+            assert!(
+                cost_w.words_processed < cost_p.words_processed,
+                "{policy}: wah {} not below plain {}",
+                cost_w.words_processed,
+                cost_p.words_processed
+            );
+        }
+    }
+
+    #[test]
+    fn container_counts_cover_every_read_and_op_operand() {
+        // With single-chunk data (< 2^16 rows → one container per bitmap)
+        // the accounting identity is exact: inside one interval evaluation
+        // every read and every op contributes one freshly-tallied container
+        // set (the OR chain's accumulator covers the other operand), so
+        // `containers == bitmaps + ops` per predicate; each of the
+        // `dimensionality − 1` AND-reduce ops then tallies both operands.
+        let d = synthetic_scaled(300, 11);
+        let idx = EqualityBitmapIndex::<Adaptive>::build(&d);
+        for policy in MissingPolicy::ALL {
+            let q = RangeQuery::new(
+                vec![Predicate::range(102, 1, 3), Predicate::range(105, 2, 4)],
+                policy,
+            )
+            .unwrap();
+            let (_, cost) = idx.execute_with_cost(&q).unwrap();
+            let touched = cost.containers_array + cost.containers_bitmap + cost.containers_run;
+            assert_eq!(
+                touched,
+                cost.bitmaps_accessed + cost.logical_ops + (q.dimensionality() - 1),
+                "{policy}"
+            );
+            assert!(cost.words_processed > 0);
+        }
+    }
+
+    #[test]
+    fn exact_words_are_deterministic_on_the_worked_example() {
+        // Table 1: 10 rows, cardinality 5, every equality bitmap has ≤ 3
+        // set bits → a single array container of 1 payload word each.
+        let idx = EqualityBitmapIndex::<Adaptive>::build(&table1());
+        // Point query, not-match: one clone of one 1-word array.
+        let q = RangeQuery::new(vec![Predicate::point(0, 3)], MissingPolicy::IsNotMatch).unwrap();
+        let (_, cost) = idx.execute_with_cost(&q).unwrap();
+        assert_eq!(cost.words_processed, 1);
+        assert_eq!(cost.containers_array, 1);
+        assert_eq!((cost.containers_bitmap, cost.containers_run), (0, 0));
+        // Range [1,2] under match: clone B_1 (1 word) + OR with B_2 (two
+        // 1-word operands) + OR with B_0 (two 1-word operands) = 5 words,
+        // all array-shaped.
+        let q = RangeQuery::new(vec![Predicate::range(0, 1, 2)], MissingPolicy::IsMatch).unwrap();
+        let (_, cost) = idx.execute_with_cost(&q).unwrap();
+        assert_eq!(cost.words_processed, 5);
+        assert_eq!(cost.containers_array, 5);
+        assert_eq!(cost.bitmaps_accessed, 3);
+        assert_eq!(cost.logical_ops, 2);
+    }
+
+    #[test]
+    fn adaptive_words_beat_the_uncompressed_floor_on_sparse_data() {
+        // 70 000 rows (two chunks), cardinality 50, cyclic values: each
+        // equality bitmap holds every 50th row — array containers of
+        // ~1 310 entries (~330 payload words per chunk) versus the
+        // uncompressed ⌈70 000/64⌉ ≈ 1 094 words a plain bitmap holds.
+        let rows: Vec<Vec<Cell>> = (0..70_000)
+            .map(|r| vec![Cell::present((r % 50 + 1) as u16)])
+            .collect();
+        let d = Dataset::from_rows(&[("a", 50)], &rows).unwrap();
+        let q =
+            RangeQuery::new(vec![Predicate::range(0, 1, 10)], MissingPolicy::IsNotMatch).unwrap();
+        let (_, exact) = EqualityBitmapIndex::<Adaptive>::build(&d)
+            .execute_with_cost(&q)
+            .unwrap();
+        let (_, plain) = EqualityBitmapIndex::<BitVec64>::build(&d)
+            .execute_with_cost(&q)
+            .unwrap();
+        assert!(
+            exact.words_processed < plain.words_processed,
+            "adaptive {} not below plain {}",
+            exact.words_processed,
+            plain.words_processed
+        );
+    }
+
+    #[test]
+    fn threaded_execution_matches_sequential_rows_and_cost() {
+        let d = synthetic_scaled(400, 17);
+        let idx = EqualityBitmapIndex::<Adaptive>::build(&d);
+        for policy in MissingPolicy::ALL {
+            let q = RangeQuery::new(
+                vec![
+                    Predicate::range(100, 2, 5),
+                    Predicate::range(109, 1, 4),
+                    Predicate::range(231, 2, 6),
+                ],
+                policy,
+            )
+            .unwrap();
+            let seq = idx.execute_with_cost(&q).unwrap();
+            for threads in [1, 2, 3, 8] {
+                assert_eq!(
+                    idx.execute_with_cost_threads(&q, threads).unwrap(),
+                    seq,
+                    "{policy} t={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn count_matches_materialized_rows() {
+        let d = synthetic_scaled(350, 19);
+        let idx = EqualityBitmapIndex::<Adaptive>::build(&d);
+        for preds in [
+            vec![],
+            vec![Predicate::point(103, 2)],
+            vec![Predicate::range(101, 1, 5), Predicate::range(208, 2, 7)],
+        ] {
+            let q = RangeQuery::new(preds, MissingPolicy::IsMatch).unwrap();
+            assert_eq!(
+                idx.execute_count(&q).unwrap(),
+                idx.execute(&q).unwrap().rows().len()
+            );
+        }
+    }
+
+    #[test]
+    fn container_census_counts_every_stored_container() {
+        let d = synthetic_scaled(250, 31);
+        let idx = EqualityBitmapIndex::<Adaptive>::build(&d);
+        let (ar, bm, rn) = idx.container_census();
+        // < 2^16 rows → exactly one container per stored bitmap.
+        assert_eq!(ar + bm + rn, idx.n_bitmaps());
+    }
+
+    #[test]
+    fn adaptive_estimate_reflects_compression_and_the_rest_keep_the_bound() {
+        let d = synthetic_scaled(400, 37);
+        let adaptive = EqualityBitmapIndex::<Adaptive>::build(&d);
+        let plain = EqualityBitmapIndex::<BitVec64>::build(&d);
+        let wah = EqualityBitmapIndex::<Wah>::build(&d);
+        let q = RangeQuery::new(vec![Predicate::point(0, 1)], MissingPolicy::IsMatch).unwrap();
+        let a = AccessMethod::estimated_cost(&adaptive, &q);
+        let b = AccessMethod::estimated_cost(&plain, &q);
+        assert!(a.is_finite() && a > 0.0);
+        // Adaptive containers store fewer words than the uncompressed
+        // family, and the estimate is scaled by that measured ratio.
+        assert!(a <= b, "adaptive {a} > plain {b}");
+        // Every other store prices the same unscaled §6 bound.
+        assert_eq!(AccessMethod::estimated_cost(&wah, &q), b);
+        assert_eq!(adaptive.name(), "bitmap-adaptive");
+        assert_eq!(wah.name(), "bitmap-equality");
+        // Out-of-schema predicates stay unplannable.
+        let q = RangeQuery::new(vec![Predicate::point(999, 1)], MissingPolicy::IsMatch).unwrap();
+        assert_eq!(AccessMethod::estimated_cost(&adaptive, &q), f64::INFINITY);
     }
 }
 

@@ -26,7 +26,7 @@
 //! `ablation_encoding` experiment fills in.
 
 use crate::cost::QueryCost;
-use crate::engine::BitmapExec;
+use crate::engine::{self, BitmapExec};
 use crate::size::{AttrSize, SizeReport};
 use ibis_bitvec::{BitStore, BitVec64};
 use ibis_core::{AccessMethod, Dataset, Interval, MissingPolicy, RangeQuery, Result, RowSet};
@@ -165,29 +165,24 @@ impl<B: BitStore> IntervalBitmapIndex<B> {
             match &a.missing {
                 Some(m) => {
                     cost.read_bitmap();
-                    cost.op();
-                    m.not()
+                    engine::not(m, cost)
                 }
                 None => B::ones(self.n_rows),
             }
         } else if width >= w_win {
-            let lo = win(v1, cost).clone();
-            cost.op();
-            lo.or(win(v2 - w_win + 1, cost))
+            let lo = win(v1, cost);
+            engine::or(lo, win(v2 - w_win + 1, cost), cost)
         } else if v2 < w_win {
-            let base = win(v1, cost).clone();
-            cost.op();
-            cost.op();
-            base.and(&win(v2 + 1, cost).not())
+            let base = win(v1, cost);
+            let above = engine::not(win(v2 + 1, cost), cost);
+            engine::and(base, &above, cost)
         } else if v1 > k {
-            let base = win(v2 - w_win + 1, cost).clone();
-            cost.op();
-            cost.op();
-            base.and(&win(v1 - w_win, cost).not())
+            let base = win(v2 - w_win + 1, cost);
+            let below = engine::not(win(v1 - w_win, cost), cost);
+            engine::and(base, &below, cost)
         } else {
-            let base = win(v1, cost).clone();
-            cost.op();
-            base.and(win(v2 - w_win + 1, cost))
+            let base = win(v1, cost);
+            engine::and(base, win(v2 - w_win + 1, cost), cost)
         };
 
         match policy {
@@ -195,8 +190,7 @@ impl<B: BitStore> IntervalBitmapIndex<B> {
             MissingPolicy::IsMatch => match &a.missing {
                 Some(m) => {
                     cost.read_bitmap();
-                    cost.op();
-                    present.or(m)
+                    engine::or(&present, m, cost)
                 }
                 None => present,
             },
@@ -207,7 +201,7 @@ impl<B: BitStore> IntervalBitmapIndex<B> {
     /// ([`AccessMethod::execute`] / [`AccessMethod::execute_count`] cover
     /// the plain and counting forms.)
     pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, QueryCost)> {
-        crate::engine::run_with_cost(self, query)
+        engine::run_with_cost(self, query)
     }
 }
 
@@ -251,7 +245,7 @@ impl<B: BitStore> AccessMethod for IntervalBitmapIndex<B> {
         query: &RangeQuery,
         threads: usize,
     ) -> Result<(RowSet, QueryCost)> {
-        crate::engine::run_with_cost_threads(self, query, threads)
+        engine::run_with_cost_threads(self, query, threads)
     }
 
     fn size_bytes(&self) -> usize {
@@ -259,13 +253,13 @@ impl<B: BitStore> AccessMethod for IntervalBitmapIndex<B> {
     }
 
     fn execute_count(&self, query: &RangeQuery) -> Result<usize> {
-        crate::engine::run_count(self, query)
+        engine::run_count(self, query)
     }
 
     // At most two windows plus B_0 per dimension — the same worst case as
     // BRE; the tie is broken by BIE's ~half-size structure.
     fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        crate::engine::estimate_words(self, query, |_w, _c| 3.0)
+        engine::estimate_words(self, query, |_w, _c| 3.0)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Bitmap Range Encoding (BRE) — §4.3 of the paper.
 
 use crate::cost::QueryCost;
-use crate::engine::BitmapExec;
+use crate::engine::{self, BitmapExec};
 use crate::size::{AttrSize, SizeReport};
 use ibis_bitvec::BitStore;
 use ibis_core::{AccessMethod, Dataset, Interval, MissingPolicy, RangeQuery, Result, RowSet};
@@ -202,23 +202,18 @@ impl<B: BitStore> RangeBitmapIndex<B> {
                     if v2 == c {
                         B::ones(self.n_rows)
                     } else {
-                        le(v2, cost).expect("1 ≤ v2 < C is stored").clone()
+                        engine::read(le(v2, cost).expect("1 ≤ v2 < C is stored"), cost)
                     }
                 } else {
                     let base = if v2 == c {
-                        cost.op();
-                        le(v1 - 1, cost).expect("1 ≤ v1-1 < C is stored").not()
+                        engine::not(le(v1 - 1, cost).expect("1 ≤ v1-1 < C is stored"), cost)
                     } else {
                         let hi = le(v2, cost).expect("stored");
                         let lo = le(v1 - 1, cost).expect("stored");
-                        cost.op();
-                        hi.xor(lo)
+                        engine::xor(hi, lo, cost)
                     };
                     match le(0, cost) {
-                        Some(m) => {
-                            cost.op();
-                            base.or(m)
-                        }
+                        Some(m) => engine::or(&base, m, cost),
                         None => base,
                     }
                 }
@@ -227,20 +222,14 @@ impl<B: BitStore> RangeBitmapIndex<B> {
                 let lower = v1 - 1; // 0 allowed: B_0 is the missing flag
                 if v2 == c {
                     match le(lower, cost) {
-                        Some(b) => {
-                            cost.op();
-                            b.not()
-                        }
+                        Some(b) => engine::not(b, cost),
                         None => B::ones(self.n_rows), // complete column, full range
                     }
                 } else {
                     let hi = le(v2, cost).expect("1 ≤ v2 < C is stored");
                     match le(lower, cost) {
-                        Some(b) => {
-                            cost.op();
-                            hi.xor(b)
-                        }
-                        None => hi.clone(),
+                        Some(b) => engine::xor(hi, b, cost),
+                        None => engine::read(hi, cost),
                     }
                 }
             }
@@ -251,7 +240,7 @@ impl<B: BitStore> RangeBitmapIndex<B> {
     /// ([`AccessMethod::execute`] / [`AccessMethod::execute_count`] cover
     /// the plain and counting forms.)
     pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, QueryCost)> {
-        crate::engine::run_with_cost(self, query)
+        engine::run_with_cost(self, query)
     }
 }
 
@@ -295,7 +284,7 @@ impl<B: BitStore> AccessMethod for RangeBitmapIndex<B> {
         query: &RangeQuery,
         threads: usize,
     ) -> Result<(RowSet, QueryCost)> {
-        crate::engine::run_with_cost_threads(self, query, threads)
+        engine::run_with_cost_threads(self, query, threads)
     }
 
     fn size_bytes(&self) -> usize {
@@ -303,12 +292,12 @@ impl<B: BitStore> AccessMethod for RangeBitmapIndex<B> {
     }
 
     fn execute_count(&self, query: &RangeQuery) -> Result<usize> {
-        crate::engine::run_count(self, query)
+        engine::run_count(self, query)
     }
 
     // §6: at most 3 bitmaps per dimension (Fig. 3), scaled to words.
     fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        crate::engine::estimate_words(self, query, |_w, _c| 3.0)
+        engine::estimate_words(self, query, |_w, _c| 3.0)
     }
 }
 

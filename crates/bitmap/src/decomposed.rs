@@ -20,7 +20,7 @@
 //! the 1998 paper predicts, now under both missing semantics.
 
 use crate::cost::QueryCost;
-use crate::engine::BitmapExec;
+use crate::engine::{self, BitmapExec};
 use crate::size::{AttrSize, SizeReport};
 use ibis_bitvec::{BitStore, BitVec64};
 use ibis_core::{AccessMethod, Dataset, Interval, MissingPolicy, RangeQuery, Result, RowSet};
@@ -199,7 +199,7 @@ impl<B: BitStore> DecomposedBitmapIndex<B> {
         }
         if t as u64 >= a.cardinality as u64 - 1 {
             cost.read_bitmap();
-            return a.present.clone();
+            return engine::read(&a.present, cost);
         }
         // Digits of t, least significant first.
         let mut digits = Vec::with_capacity(a.n_components);
@@ -211,7 +211,7 @@ impl<B: BitStore> DecomposedBitmapIndex<B> {
         // Fold: res = (digit_0 ≤ d_0); then per higher component
         // res = (digit_i < d_i) ∨ ((digit_i = d_i) ∧ res).
         let mut res = match self.le_digit(a, 0, digits[0], cost) {
-            Some(b) => b.clone(),
+            Some(b) => engine::read(b, cost),
             None => B::zeros(self.n_rows),
         };
         for (i, &d) in digits.iter().enumerate().skip(1) {
@@ -219,21 +219,13 @@ impl<B: BitStore> DecomposedBitmapIndex<B> {
             let le = self
                 .le_digit(a, i, d, cost)
                 .expect("d ≥ 0 is stored or present");
-            // eq = le XOR lt (lt = ∅ ⇒ eq = le).
-            let eq = match lt {
-                Some(lt) => {
-                    cost.op();
-                    le.xor(lt)
-                }
-                None => le.clone(),
+            // within = (le XOR lt) AND res, where lt = ∅ ⇒ le XOR lt = le.
+            let within = match lt {
+                Some(lt) => engine::and(&engine::xor(le, lt, cost), &res, cost),
+                None => engine::and(le, &res, cost),
             };
-            cost.op();
-            let within = eq.and(&res);
             res = match lt {
-                Some(lt) => {
-                    cost.op();
-                    within.or(lt)
-                }
+                Some(lt) => engine::or(&within, lt, cost),
                 None => within,
             };
         }
@@ -264,17 +256,14 @@ impl<B: BitStore> DecomposedBitmapIndex<B> {
             hi
         } else {
             let lo = self.le_value(a, v1 as i64 - 2, cost);
-            cost.op();
-            cost.op();
-            hi.and(&lo.not())
+            engine::and(&hi, &engine::not(&lo, cost), cost)
         };
         match policy {
             MissingPolicy::IsNotMatch => present,
             MissingPolicy::IsMatch => match &a.missing {
                 Some(m) => {
                     cost.read_bitmap();
-                    cost.op();
-                    present.or(m)
+                    engine::or(&present, m, cost)
                 }
                 None => present,
             },
@@ -285,7 +274,7 @@ impl<B: BitStore> DecomposedBitmapIndex<B> {
     /// ([`AccessMethod::execute`] / [`AccessMethod::execute_count`] cover
     /// the plain and counting forms.)
     pub fn execute_with_cost(&self, query: &RangeQuery) -> Result<(RowSet, QueryCost)> {
-        crate::engine::run_with_cost(self, query)
+        engine::run_with_cost(self, query)
     }
 }
 
@@ -329,7 +318,7 @@ impl<B: BitStore> AccessMethod for DecomposedBitmapIndex<B> {
         query: &RangeQuery,
         threads: usize,
     ) -> Result<(RowSet, QueryCost)> {
-        crate::engine::run_with_cost_threads(self, query, threads)
+        engine::run_with_cost_threads(self, query, threads)
     }
 
     fn size_bytes(&self) -> usize {
@@ -337,14 +326,14 @@ impl<B: BitStore> AccessMethod for DecomposedBitmapIndex<B> {
     }
 
     fn execute_count(&self, query: &RangeQuery) -> Result<usize> {
-        crate::engine::run_count(self, query)
+        engine::run_count(self, query)
     }
 
     // RangeEval touches ≤ 2m − 1 bitmaps per bound (m components), two
     // bounds per interval, plus B_0 — the SIGMOD'98 time/space trade-off
     // the planner should see as pricier than single-component BRE.
     fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        let wpb = crate::engine::words_per_bitmap(self.n_rows);
+        let wpb = engine::words_per_bitmap(self.n_rows);
         query
             .predicates()
             .iter()

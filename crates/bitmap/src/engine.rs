@@ -1,19 +1,74 @@
 //! Shared query driver behind every bitmap family's [`ibis_core::AccessMethod`]
-//! implementation.
+//! implementation, and the counted bitmap operations every family uses.
 //!
 //! All four recommended encodings (BEE, BRE, BIE, decomposed) and both §4.2
 //! rejected in-band encodings execute a query the same way: validate the
 //! search key against the schema, evaluate each predicate's interval to a
-//! bitmap, and AND the per-predicate answers together (§4.1). Historically
-//! each family carried its own copy of that driver as inherent
-//! `execute`/`execute_count`/`execute_with_cost` methods; the [`BitmapExec`]
-//! view plus [`run_with_cost`]/[`run_count`] below hold the single shared
-//! copy, and the families differ only in how one interval is evaluated.
+//! bitmap, and AND the per-predicate answers together (§4.1). The
+//! [`BitmapExec`] view plus [`run_with_cost`]/[`run_count`] below hold the
+//! single copy of that driver; the families differ only in how one interval
+//! is evaluated, on every backend.
+//!
+//! `words_processed` is measured where an operation happens, through
+//! [`read`], [`or`], [`and`], [`xor`] and [`not`]: a stored bitmap taken as
+//! it is charges its words once, a binary operation charges both operands,
+//! and NOT charges its operand. The words are what [`BitStore::tally`]
+//! reports for each operand — the encoded size for plain, WAH and BBC, the
+//! container payloads (and container shapes) for adaptive. `bitmaps_accessed`
+//! is counted where a family looks a stored bitmap up; every operation
+//! helper counts one logical op.
 
 use crate::cost::QueryCost;
-use ibis_bitvec::BitStore;
+use ibis_bitvec::{BitStore, OpTally};
 use ibis_core::parallel::ExecPool;
-use ibis_core::{Interval, MissingPolicy, RangeQuery, Result, RowSet};
+use ibis_core::{Interval, MissingPolicy, Predicate, RangeQuery, Result, RowSet};
+
+/// Charges one operand read to `cost`: its measured words and, for the
+/// adaptive store, its containers by shape.
+fn charge<B: BitStore>(b: &B, cost: &mut QueryCost) {
+    let mut t = OpTally::default();
+    b.tally(&mut t);
+    cost.words_processed = cost.words_processed.saturating_add(t.words as usize);
+    cost.containers_array = cost.containers_array.saturating_add(t.array as usize);
+    cost.containers_bitmap = cost.containers_bitmap.saturating_add(t.bitmap as usize);
+    cost.containers_run = cost.containers_run.saturating_add(t.run as usize);
+}
+
+/// A stored bitmap taken as it is (an interval's answer, or the seed of an
+/// OR chain): charges its words once and returns an owned copy.
+pub(crate) fn read<B: BitStore>(b: &B, cost: &mut QueryCost) -> B {
+    charge(b, cost);
+    b.clone()
+}
+
+/// `a OR b`: one logical op, both operands charged.
+pub(crate) fn or<B: BitStore>(a: &B, b: &B, cost: &mut QueryCost) -> B {
+    binary(a, b, cost, B::or)
+}
+
+/// `a AND b`: one logical op, both operands charged.
+pub(crate) fn and<B: BitStore>(a: &B, b: &B, cost: &mut QueryCost) -> B {
+    binary(a, b, cost, B::and)
+}
+
+/// `a XOR b`: one logical op, both operands charged.
+pub(crate) fn xor<B: BitStore>(a: &B, b: &B, cost: &mut QueryCost) -> B {
+    binary(a, b, cost, B::xor)
+}
+
+/// `NOT a`: one logical op, the operand charged.
+pub(crate) fn not<B: BitStore>(a: &B, cost: &mut QueryCost) -> B {
+    cost.op();
+    charge(a, cost);
+    a.not()
+}
+
+fn binary<B: BitStore>(a: &B, b: &B, cost: &mut QueryCost, f: impl Fn(&B, &B) -> B) -> B {
+    cost.op();
+    charge(a, cost);
+    charge(b, cost);
+    f(a, b)
+}
 
 /// The uniform internal view of a bitmap index: just enough structure for
 /// the shared driver — schema dimensions plus per-interval evaluation.
@@ -31,7 +86,7 @@ pub(crate) trait BitmapExec {
     fn exec_cardinality(&self, attr: usize) -> u16;
 
     /// Evaluates one (validated) interval over one attribute, accumulating
-    /// bitmap reads and logical ops into `cost`.
+    /// bitmap reads, logical ops and measured words into `cost`.
     fn exec_interval(
         &self,
         attr: usize,
@@ -41,122 +96,87 @@ pub(crate) trait BitmapExec {
     ) -> Self::Store;
 }
 
-/// Attaches one fetch/reduce phase's counters to `span`, with the phase's
-/// share of `words_processed` derived by the same §6 rule the final
-/// [`QueryCost::finish_bitmap_words`] applies — so the per-phase deltas a
-/// profile shows sum exactly to the query's final counters.
-fn record_phase(span: &mut ibis_obs::SpanGuard, phase: &QueryCost, words_per_bitmap: usize) {
-    if !span.is_recording() {
-        return;
-    }
-    let mut phase = *phase;
-    phase.words_processed = phase
-        .bitmaps_accessed
-        .saturating_add(phase.logical_ops)
-        .saturating_mul(words_per_bitmap);
-    phase.record_into(span);
+/// Evaluates one predicate's interval under a `bitmap.fetch` span that
+/// carries the evaluation's counters.
+fn fetch<T: BitmapExec>(ix: &T, p: &Predicate, policy: MissingPolicy) -> (T::Store, QueryCost) {
+    let mut span = ibis_obs::span("bitmap.fetch");
+    let mut c = QueryCost::zero();
+    let b = ix.exec_interval(p.attr, p.interval, policy, &mut c);
+    span.add_field("attr", p.attr as u64);
+    c.record_into(&mut span);
+    (b, c)
+}
+
+/// ANDs the per-predicate answers in predicate order under a
+/// `bitmap.and_reduce` span, charging both operands of every AND, and
+/// turns the result into rows (an empty search key matches every row).
+///
+/// Sequential on purpose, also in the threaded driver: a tree reduce would
+/// combine different *intermediate* bitmaps than the left fold, so the
+/// measured words would depend on the thread count. The reduce is `k − 1`
+/// ANDs over already-evaluated answers — the cheap tail of the query — so
+/// fetch-side parallelism is kept and the counters stay degree-invariant.
+fn and_reduce<B: BitStore>(answers: Vec<B>, n_rows: usize, cost: &mut QueryCost) -> RowSet {
+    let mut it = answers.into_iter();
+    let Some(first) = it.next() else {
+        return RowSet::all(n_rows as u32);
+    };
+    let mut span = ibis_obs::span("bitmap.and_reduce");
+    let mut rc = QueryCost::zero();
+    let acc = it.fold(first, |a, b| and(&a, &b, &mut rc));
+    rc.record_into(&mut span);
+    drop(span);
+    *cost += rc;
+    RowSet::from_sorted(acc.ones_positions())
 }
 
 /// Executes `query` over `ix`, returning matching rows and work counters.
-/// `words_processed` is derived from the bitmap counters on the way out, so
-/// every family reports comparable work without touching its own counters.
 ///
 /// Each per-predicate interval evaluation runs under a `bitmap.fetch` span
 /// and the final AND of the per-predicate answers under `bitmap.and_reduce`,
-/// both carrying their counter deltas. Fetch-then-reduce performs the same
-/// `k − 1` ANDs in the same order as the historical interleaved fold, so
-/// rows and counters are unchanged.
-pub(crate) fn run_with_cost<T: BitmapExec>(
+/// both carrying their counter deltas, so a profile's phases sum exactly to
+/// the query's counters.
+pub(crate) fn run_with_cost<T: BitmapExec + Sync>(
     ix: &T,
     query: &RangeQuery,
 ) -> Result<(RowSet, QueryCost)> {
-    query.validate_schema(ix.exec_attrs(), |a| ix.exec_cardinality(a))?;
-    let wpb = ix.exec_rows().div_ceil(64);
-    let mut cost = QueryCost::zero();
-    let mut answers: Vec<T::Store> = Vec::with_capacity(query.dimensionality());
-    for p in query.predicates() {
-        let mut span = ibis_obs::span("bitmap.fetch");
-        let mut c = QueryCost::zero();
-        let b = ix.exec_interval(p.attr, p.interval, query.policy(), &mut c);
-        span.add_field("attr", p.attr as u64);
-        record_phase(&mut span, &c, wpb);
-        cost += c;
-        answers.push(b);
-    }
-    let acc = if answers.is_empty() {
-        None
-    } else {
-        let mut span = ibis_obs::span("bitmap.and_reduce");
-        let mut reduce_cost = QueryCost::zero();
-        let mut it = answers.into_iter();
-        let first = it.next().expect("non-empty");
-        let acc = it.fold(first, |a, b| {
-            reduce_cost.op();
-            a.and(&b)
-        });
-        record_phase(&mut span, &reduce_cost, wpb);
-        cost += reduce_cost;
-        Some(acc)
-    };
-    let rows = match acc {
-        None => RowSet::all(ix.exec_rows() as u32),
-        Some(b) => RowSet::from_sorted(b.ones_positions()),
-    };
-    cost.finish_bitmap_words(ix.exec_rows());
-    Ok((rows, cost))
+    run_with_cost_threads(ix, query, 1)
 }
 
-/// Executes `query` over `ix` with up to `threads` workers: the
-/// per-predicate interval evaluations (bitmap fetch + OR/complement
-/// combine) fan out across attributes, and the final AND reduction over the
-/// compressed per-predicate answers runs as a parallel tree-reduce
-/// ([`ExecPool::reduce`]). Bit-identical to [`run_with_cost`] — the AND of
-/// exact bitmaps is associative, each interval's cost accrues into its own
-/// counter before an ordered merge, and the reduce performs exactly `k − 1`
-/// combines — so the reported [`QueryCost`] matches the sequential run
-/// field for field.
-pub(crate) fn run_with_cost_threads<T>(
+/// [`run_with_cost`] with up to `threads` workers: the per-predicate
+/// interval evaluations (bitmap fetch + OR/complement combine) fan out
+/// across attributes, then the answers are ANDed in predicate order as in
+/// the sequential run. Each interval's cost accrues into its own counter
+/// before an ordered merge, so the rows and the [`QueryCost`] match the
+/// sequential run field for field.
+pub(crate) fn run_with_cost_threads<T: BitmapExec + Sync>(
     ix: &T,
     query: &RangeQuery,
     threads: usize,
-) -> Result<(RowSet, QueryCost)>
-where
-    T: BitmapExec + Sync,
-{
-    // One predicate (or none) has no intra-query parallelism to exploit.
-    if threads <= 1 || query.dimensionality() < 2 {
-        return run_with_cost(ix, query);
-    }
+) -> Result<(RowSet, QueryCost)> {
     query.validate_schema(ix.exec_attrs(), |a| ix.exec_cardinality(a))?;
-    let wpb = ix.exec_rows().div_ceil(64);
     let policy = query.policy();
-    let pool = ExecPool::new(threads);
-    let partials: Vec<(T::Store, QueryCost)> = pool.map(query.predicates().to_vec(), |p| {
-        // Nested under the pool.worker span of whichever thread runs it.
-        let mut span = ibis_obs::span("bitmap.fetch");
-        let mut c = QueryCost::zero();
-        let b = ix.exec_interval(p.attr, p.interval, policy, &mut c);
-        span.add_field("attr", p.attr as u64);
-        record_phase(&mut span, &c, wpb);
-        (b, c)
-    });
+    // One predicate (or none) has no intra-query parallelism to exploit.
+    let partials: Vec<(T::Store, QueryCost)> = if threads <= 1 || query.dimensionality() < 2 {
+        query
+            .predicates()
+            .iter()
+            .map(|p| fetch(ix, p, policy))
+            .collect()
+    } else {
+        // Each fetch nests under the pool.worker span of whichever thread
+        // runs it.
+        ExecPool::new(threads).map(query.predicates().to_vec(), |p| fetch(ix, &p, policy))
+    };
     let mut cost = QueryCost::zero();
-    let mut answers = Vec::with_capacity(partials.len());
-    for (b, c) in partials {
-        cost += c;
-        answers.push(b);
-    }
-    let mut span = ibis_obs::span("bitmap.and_reduce");
-    let mut reduce_cost = QueryCost::zero();
-    reduce_cost.logical_ops = answers.len() - 1; // the k−1 ANDs of the reduce
-    record_phase(&mut span, &reduce_cost, wpb);
-    cost += reduce_cost;
-    let acc = pool
-        .reduce(answers, |a, b| a.and(&b))
-        .expect("dimensionality >= 2");
-    drop(span);
-    let rows = RowSet::from_sorted(acc.ones_positions());
-    cost.finish_bitmap_words(ix.exec_rows());
+    let answers = partials
+        .into_iter()
+        .map(|(b, c)| {
+            cost += c;
+            b
+        })
+        .collect();
+    let rows = and_reduce(answers, ix.exec_rows(), &mut cost);
     Ok((rows, cost))
 }
 
@@ -166,9 +186,14 @@ where
 pub(crate) fn run_count<T: BitmapExec>(ix: &T, query: &RangeQuery) -> Result<usize> {
     query.validate_schema(ix.exec_attrs(), |a| ix.exec_cardinality(a))?;
     let mut cost = QueryCost::zero();
-    let acc = crate::fold_query(query, &mut cost, |attr, iv, cost| {
-        ix.exec_interval(attr, iv, query.policy(), cost)
-    });
+    let mut acc: Option<T::Store> = None;
+    for p in query.predicates() {
+        let b = ix.exec_interval(p.attr, p.interval, query.policy(), &mut cost);
+        acc = Some(match acc {
+            None => b,
+            Some(x) => and(&x, &b, &mut cost),
+        });
+    }
     Ok(match acc {
         None => ix.exec_rows(),
         Some(b) => b.count_ones(),

@@ -18,7 +18,7 @@
 //! recommended API.
 
 use crate::cost::QueryCost;
-use crate::engine::BitmapExec;
+use crate::engine::{self, BitmapExec};
 use crate::size::{AttrSize, SizeReport};
 use ibis_bitvec::{BitStore, BitVec64};
 use ibis_core::{
@@ -137,20 +137,15 @@ impl<B: BitStore> InBandMatchEquality<B> {
         } else {
             let outside = a.values[..v1 - 1].iter().chain(a.values[v2..].iter());
             let neg = match crate::or_all(outside, cost) {
-                Some(x) => {
-                    cost.op();
-                    x.not()
-                }
+                Some(x) => engine::not(&x, cost),
                 None => B::ones(self.n_rows),
             };
             if a.has_missing && c >= 2 {
                 // Recovery: missing = B_1 AND B_2 (both all-ones on missing
                 // rows, disjoint on present rows).
                 cost.read_bitmaps(2);
-                cost.op();
-                let missing = a.values[0].and(&a.values[1]);
-                cost.op();
-                neg.or(&missing)
+                let missing = engine::and(&a.values[0], &a.values[1], cost);
+                engine::or(&neg, &missing, cost)
             } else {
                 neg
             }
@@ -173,7 +168,7 @@ impl<B: BitStore> InBandMatchEquality<B> {
             MissingPolicy::IsMatch,
             "in-band match encoding hard-wires match semantics"
         );
-        crate::engine::run_with_cost(self, query)
+        engine::run_with_cost(self, query)
     }
 }
 
@@ -218,7 +213,7 @@ impl<B: BitStore> AccessMethod for InBandMatchEquality<B> {
                 method: "bitmap-inband-match",
             });
         }
-        crate::engine::run_with_cost(self, query)
+        engine::run_with_cost(self, query)
     }
 
     fn size_bytes(&self) -> usize {
@@ -231,13 +226,13 @@ impl<B: BitStore> AccessMethod for InBandMatchEquality<B> {
                 method: "bitmap-inband-match",
             });
         }
-        crate::engine::run_count(self, query)
+        engine::run_count(self, query)
     }
 
     // Like BEE, but the complement path pays the recovery (two extra reads
     // plus ops) — objection #1 priced in.
     fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        crate::engine::estimate_words(self, query, |w, c| if w <= c - w { w } else { c - w + 3.0 })
+        engine::estimate_words(self, query, |w, c| if w <= c - w { w } else { c - w + 3.0 })
     }
 }
 
@@ -273,16 +268,12 @@ impl<B: BitStore> InBandNotMatchEquality<B> {
         } else {
             let outside = a.values[..v1 - 1].iter().chain(a.values[v2..].iter());
             let neg = match crate::or_all(outside, cost) {
-                Some(x) => {
-                    cost.op();
-                    x.not()
-                }
+                Some(x) => engine::not(&x, cost),
                 None => B::ones(self.n_rows),
             };
             if a.has_missing {
                 let present = crate::or_all(a.values.iter(), cost).expect("c ≥ 1");
-                cost.op();
-                neg.and(&present)
+                engine::and(&neg, &present, cost)
             } else {
                 neg
             }
@@ -305,7 +296,7 @@ impl<B: BitStore> InBandNotMatchEquality<B> {
             MissingPolicy::IsNotMatch,
             "in-band not-match encoding hard-wires not-match semantics"
         );
-        crate::engine::run_with_cost(self, query)
+        engine::run_with_cost(self, query)
     }
 }
 
@@ -350,7 +341,7 @@ impl<B: BitStore> AccessMethod for InBandNotMatchEquality<B> {
                 method: "bitmap-inband-notmatch",
             });
         }
-        crate::engine::run_with_cost(self, query)
+        engine::run_with_cost(self, query)
     }
 
     fn size_bytes(&self) -> usize {
@@ -363,13 +354,13 @@ impl<B: BitStore> AccessMethod for InBandNotMatchEquality<B> {
                 method: "bitmap-inband-notmatch",
             });
         }
-        crate::engine::run_count(self, query)
+        engine::run_count(self, query)
     }
 
     // The complement path re-derives the present mask from all C value
     // bitmaps — objection #1's cost for this variant.
     fn estimated_cost(&self, query: &RangeQuery) -> f64 {
-        crate::engine::estimate_words(
+        engine::estimate_words(
             self,
             query,
             |w, c| if w <= c - w { w } else { (c - w) + c + 1.0 },

@@ -18,9 +18,9 @@
 //! sorted merge, array∩bitmap probes bits, bitmap∩bitmap is one u64×8
 //! kernel pass, runs intersect as intervals) and every result is
 //! re-optimized, so the representation keeps adapting as predicates
-//! combine. The `*_counted` variants report exactly which containers were
-//! touched — the [`OpTally`] feeds the per-container-kind work counters
-//! that `ibis query --profile` surfaces.
+//! combine. [`BitStore::tally`] reports exactly which containers an
+//! operand holds — the [`OpTally`] feeds the per-container-kind work
+//! counters that `ibis query --profile` surfaces.
 //!
 //! ```
 //! use ibis_bitvec::{Adaptive, BitStore, BitVec64, ContainerKind, OpTally};
@@ -37,14 +37,15 @@
 //! assert_eq!(a.container_kind(1), Some(ContainerKind::Run));
 //! assert!(a.size_bytes() < 200); // vs 128 KiB uncompressed
 //!
-//! // Counted operations say exactly what was read.
+//! // The tally says exactly what an operation over `a` reads.
 //! let mut tally = OpTally::default();
-//! let both = a.and_counted(&a, &mut tally);
-//! assert_eq!(both.count_ones(), 50_001);
+//! a.tally(&mut tally);
+//! a.tally(&mut tally);
+//! assert_eq!(a.and(&a).count_ones(), 50_001);
 //! assert_eq!(tally.containers(), 32); // 16 chunks × 2 operands
 //! ```
 
-use crate::{kernel, BitStore, BitVec64};
+use crate::{kernel, BitStore, BitVec64, OpTally};
 
 /// Bits per chunk (one container covers this many positions).
 pub const CHUNK_BITS: usize = 1 << 16;
@@ -65,31 +66,6 @@ pub enum ContainerKind {
     Run,
 }
 
-/// Exact read accounting for counted container operations.
-///
-/// `words` is the number of `u64`-word-equivalents of container payload
-/// read (arrays and runs count their `u16` payload packed four / two to a
-/// word); the per-kind fields count operand containers touched, by their
-/// shape. These are the numbers behind the `containers_*` work counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OpTally {
-    /// `u64`-word-equivalents of container payload read.
-    pub words: u64,
-    /// Array-shaped operand containers touched.
-    pub array: u64,
-    /// Bitmap-shaped operand containers touched.
-    pub bitmap: u64,
-    /// Run-shaped operand containers touched.
-    pub run: u64,
-}
-
-impl OpTally {
-    /// Total operand containers touched, over all three kinds.
-    pub fn containers(&self) -> u64 {
-        self.array + self.bitmap + self.run
-    }
-}
-
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Container {
     /// Sorted ascending, strictly increasing, `len ≤ ARRAY_MAX`.
@@ -104,8 +80,8 @@ enum Container {
 /// A bit vector stored as one adaptive container per 2^16-bit chunk.
 ///
 /// Implements [`BitStore`], so every bitmap index in `ibis-bitmap` can be
-/// instantiated over it; the dedicated `AdaptiveBitmapIndex` additionally
-/// uses the `*_counted` operations for exact per-container profiling.
+/// instantiated over it; its [`BitStore::tally`] counts payload words and
+/// containers by shape for exact per-container profiling.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Adaptive {
     n_bits: usize,
@@ -501,23 +477,9 @@ impl Adaptive {
         counts
     }
 
-    /// Accounts a full read of this vector (the fetch side of a query)
-    /// into `tally`.
-    pub fn tally_read(&self, tally: &mut OpTally) {
-        for c in &self.containers {
-            tally.words += c.size_words();
-            match c.kind() {
-                ContainerKind::Array => tally.array += 1,
-                ContainerKind::Bitmap => tally.bitmap += 1,
-                ContainerKind::Run => tally.run += 1,
-            }
-        }
-    }
-
-    fn binary_counted(
+    fn binary(
         &self,
         other: &Adaptive,
-        tally: &mut OpTally,
         f: impl Fn(&Container, &Container) -> Container,
     ) -> Adaptive {
         assert_eq!(
@@ -528,38 +490,12 @@ impl Adaptive {
             .containers
             .iter()
             .zip(&other.containers)
-            .map(|(a, b)| {
-                for c in [a, b] {
-                    tally.words += c.size_words();
-                    match c.kind() {
-                        ContainerKind::Array => tally.array += 1,
-                        ContainerKind::Bitmap => tally.bitmap += 1,
-                        ContainerKind::Run => tally.run += 1,
-                    }
-                }
-                f(a, b)
-            })
+            .map(|(a, b)| f(a, b))
             .collect();
         Adaptive {
             n_bits: self.n_bits,
             containers,
         }
-    }
-
-    /// Bitwise AND, recording exactly which containers were read.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn and_counted(&self, other: &Adaptive, tally: &mut OpTally) -> Adaptive {
-        self.binary_counted(other, tally, Container::and)
-    }
-
-    /// Bitwise OR, recording exactly which containers were read.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn or_counted(&self, other: &Adaptive, tally: &mut OpTally) -> Adaptive {
-        self.binary_counted(other, tally, Container::or)
     }
 
     /// Valid bits in chunk `c`.
@@ -638,11 +574,11 @@ impl BitStore for Adaptive {
     }
 
     fn and(&self, other: &Self) -> Self {
-        self.and_counted(other, &mut OpTally::default())
+        self.binary(other, Container::and)
     }
 
     fn or(&self, other: &Self) -> Self {
-        self.or_counted(other, &mut OpTally::default())
+        self.binary(other, Container::or)
     }
 
     fn xor(&self, other: &Self) -> Self {
@@ -692,6 +628,19 @@ impl BitStore for Adaptive {
 
     fn backend_name() -> &'static str {
         "adaptive"
+    }
+
+    /// Payload words of every container (array and run payloads packed
+    /// four and two to a `u64` word), plus each container by shape.
+    fn tally(&self, tally: &mut OpTally) {
+        for c in &self.containers {
+            tally.words += c.size_words();
+            match c.kind() {
+                ContainerKind::Array => tally.array += 1,
+                ContainerKind::Bitmap => tally.bitmap += 1,
+                ContainerKind::Run => tally.run += 1,
+            }
+        }
     }
 
     fn push_bit(&mut self, bit: bool) {
@@ -944,8 +893,10 @@ mod tests {
         let len = 2 * CHUNK_BITS;
         let a = Adaptive::encode(&sparse(len, &[1, 9, 33, 70_000]));
         let b = <Adaptive as BitStore>::ones(len);
+        // An AND reads both operands: a's tally plus b's.
         let mut tally = OpTally::default();
-        let _ = a.and_counted(&b, &mut tally);
+        a.tally(&mut tally);
+        b.tally(&mut tally);
         // a: two array containers (3 + 1 entries → 1 + 1 words);
         // b: two run containers (1 run each → 1 + 1 words).
         assert_eq!(tally.array, 2);
@@ -955,7 +906,7 @@ mod tests {
         assert_eq!(tally.containers(), 4);
 
         let mut read = OpTally::default();
-        a.tally_read(&mut read);
+        a.tally(&mut read);
         assert_eq!((read.array, read.words), (2, 2));
     }
 

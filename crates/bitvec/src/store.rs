@@ -2,6 +2,32 @@
 
 use crate::BitVec64;
 
+/// The words (and, for [`crate::Adaptive`], containers) an operation reads
+/// from its operands, accumulated by [`BitStore::tally`].
+///
+/// `words` counts `u64`-word-equivalents of encoded payload; the per-kind
+/// fields count adaptive operand containers touched, by their shape (they
+/// stay zero for the other stores). These are the numbers behind the
+/// `words_processed` and `containers_*` work counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OpTally {
+    /// `u64`-word-equivalents of payload read.
+    pub words: u64,
+    /// Array-shaped operand containers touched.
+    pub array: u64,
+    /// Bitmap-shaped operand containers touched.
+    pub bitmap: u64,
+    /// Run-shaped operand containers touched.
+    pub run: u64,
+}
+
+impl OpTally {
+    /// Total operand containers touched, over all three kinds.
+    pub fn containers(&self) -> u64 {
+        self.array + self.bitmap + self.run
+    }
+}
+
 /// A fixed-length bit vector supporting the logical operations the paper's
 /// query-evaluation formulas need (OR, AND, XOR, NOT — §4.1).
 ///
@@ -56,6 +82,14 @@ pub trait BitStore: Clone + Send + Sync {
 
     /// Short backend name used in experiment output (e.g. `"wah"`).
     fn backend_name() -> &'static str;
+
+    /// Adds to `tally` the work of reading this vector once as an operand.
+    /// Every store's operations run on its encoded form, so the default
+    /// charges the encoded size in 64-bit words; [`crate::Adaptive`] counts
+    /// its container payloads and shapes instead.
+    fn tally(&self, tally: &mut OpTally) {
+        tally.words += self.size_bytes().div_ceil(8) as u64;
+    }
 
     /// Serializes the encoded form (used by index persistence).
     fn write_to(&self, w: &mut dyn std::io::Write) -> std::io::Result<()>;
@@ -175,6 +209,20 @@ mod tests {
         assert_eq!(<BitVec64 as BitStore>::zeros(10).count_ones(), 0);
         assert_eq!(<BitVec64 as BitStore>::ones(10).count_ones(), 10);
         assert_eq!(<BitVec64 as BitStore>::backend_name(), "plain");
+    }
+
+    #[test]
+    fn default_tally_charges_encoded_words() {
+        // 640 bits, one set: 10 plain words, far fewer WAH words.
+        let v = BitVec64::from_ones(640, [300u32]);
+        let mut t = OpTally::default();
+        v.tally(&mut t);
+        assert_eq!((t.words, t.containers()), (10, 0));
+        let w = crate::Wah::from_bitvec(&v);
+        let mut t = OpTally::default();
+        w.tally(&mut t);
+        assert_eq!(t.words, w.size_bytes().div_ceil(8) as u64);
+        assert!(t.words < 10 && t.containers() == 0, "{t:?}");
     }
 }
 

@@ -94,14 +94,6 @@ impl WorkCounters {
         self.logical_ops = self.logical_ops.saturating_add(1);
     }
 
-    /// Derives [`WorkCounters::words_processed`] from the bitmap counters:
-    /// every bitmap read or combined touches `⌈n_rows / 64⌉` words (the
-    /// uncompressed bound the paper's §6 rules are stated in).
-    pub fn finish_bitmap_words(&mut self, n_rows: usize) {
-        self.words_processed = (self.bitmaps_accessed.saturating_add(self.logical_ops))
-            .saturating_mul(n_rows.div_ceil(64));
-    }
-
     /// Folds another counter set into this one, field by field. Partitioned
     /// execution gives each worker its own `WorkCounters`; because every
     /// field is a (saturating) sum, merging partials in any order reproduces
@@ -488,15 +480,6 @@ mod tests {
         assert_eq!(e.logical_ops, 2);
     }
 
-    #[test]
-    fn bitmap_words_follow_row_count() {
-        let mut c = WorkCounters::zero();
-        c.read_bitmaps(3);
-        c.op();
-        c.finish_bitmap_words(130); // 3 words per bitmap touch
-        assert_eq!(c.words_processed, 4 * 3);
-    }
-
     /// A trivial in-memory method exercising every default implementation.
     struct Everything {
         n_rows: u32,
@@ -568,7 +551,6 @@ mod tests {
         c.read_bitmap();
         c.read_bitmaps(3);
         c.op();
-        c.finish_bitmap_words(usize::MAX);
         assert_eq!(c.bitmaps_accessed, usize::MAX);
         assert_eq!(c.logical_ops, usize::MAX);
         assert_eq!(c.words_processed, usize::MAX);

@@ -5,10 +5,9 @@
 use ibis_baseline::{BitstringAugmented, Mosaic, RTreeIncomplete, SequentialScan};
 use ibis_bitmap::rejected::{InBandMatchEquality, InBandNotMatchEquality};
 use ibis_bitmap::{
-    AdaptiveBitmapIndex, DecomposedBitmapIndex, EqualityBitmapIndex, IntervalBitmapIndex,
-    RangeBitmapIndex,
+    DecomposedBitmapIndex, EqualityBitmapIndex, IntervalBitmapIndex, RangeBitmapIndex,
 };
-use ibis_bitvec::{Bbc, BitVec64, Wah};
+use ibis_bitvec::{Adaptive, Bbc, BitVec64, Wah};
 use ibis_core::{AccessMethod, Column, Dataset};
 use ibis_vafile::{VaFile, VaPlusFile};
 use std::sync::Arc;
@@ -26,7 +25,7 @@ pub fn methods(d: &Arc<Dataset>) -> Vec<Box<dyn AccessMethod>> {
         Box::new(RangeBitmapIndex::<Bbc>::build(d)),
         Box::new(IntervalBitmapIndex::<Wah>::build(d)),
         Box::new(DecomposedBitmapIndex::<Wah>::build(d)),
-        Box::new(AdaptiveBitmapIndex::build(d)),
+        Box::new(EqualityBitmapIndex::<Adaptive>::build(d)),
         Box::new(InBandNotMatchEquality::<Wah>::build(d)),
         Box::new(VaFile::build(d).bind(Arc::clone(d))),
         Box::new(VaPlusFile::build(d).bind(Arc::clone(d))),
@@ -110,9 +109,9 @@ pub fn roundtripped(
         (
             "adaptive/roundtrip",
             roundtrip(
-                AdaptiveBitmapIndex::build(d),
+                EqualityBitmapIndex::<Adaptive>::build(d),
                 |i, buf| i.write_to(buf),
-                |r| AdaptiveBitmapIndex::read_from(r),
+                |r| EqualityBitmapIndex::<Adaptive>::read_from(r),
             )
             .map(|i| Box::new(i) as Box<dyn AccessMethod>),
         ),
@@ -166,7 +165,7 @@ pub fn appended(d: &Arc<Dataset>) -> Vec<(&'static str, ibis_core::Result<Box<dy
         .map(|()| Box::new(bre) as Box<dyn AccessMethod>);
     out.push(("bre-wah/appended", bre));
 
-    let mut adaptive = AdaptiveBitmapIndex::build(&empty);
+    let mut adaptive = EqualityBitmapIndex::<Adaptive>::build(&empty);
     let adaptive = rows
         .iter()
         .try_for_each(|row| adaptive.append_row(row))

@@ -122,12 +122,11 @@ commands:
       split and per-phase work-counter deltas); the slow view is fed by
       request tracing, so against a server running --trace-sample 0 it
       is permanently empty
-  index FILE --encoding bee|bre|bie|dec|va|adaptive
+  index FILE --encoding bee|bre|bie|dec|va
         [--backend wah|bbc|plain|adaptive] --out FILE
-      build and save an index (va ignores --backend; encoding adaptive
-      is the roaring-style container index with container-exact
-      counters and also ignores --backend, while backend adaptive
-      stores any bitmap encoding in adaptive containers)
+      build and save an index (va ignores --backend; backend adaptive
+      stores any bitmap encoding in roaring-style containers with
+      container-exact counters)
   query FILE QUERY [--index IDXFILE] [--not-match] [--count] [--limit N]
         [--threads N] [--shard-rows N] [--profile] [--profile-json FILE]
         [--addr HOST:PORT [--deadline-ms MS]]
@@ -450,25 +449,13 @@ fn index(args: &[String]) -> Result<(), CliError> {
         "bre" => save_bitmap!(RangeBitmapIndex)?,
         "bie" => save_bitmap!(IntervalBitmapIndex)?,
         "dec" => save_bitmap!(DecomposedBitmapIndex)?,
-        "adaptive" => {
-            let idx = AdaptiveBitmapIndex::build(&d);
-            idx.save(out).map_err(|e| e.to_string())?;
-            (idx.n_bitmaps(), idx.size_bytes())
-        }
         other => {
             return Err(CliError::Usage(format!(
-                "unknown encoding {other:?} (bee|bre|bie|dec|va|adaptive)"
+                "unknown encoding {other:?} (bee|bre|bie|dec|va)"
             )))
         }
     };
     if n_bitmaps > 0 {
-        // Adaptive encoding carries its own container substrate; naming the
-        // (ignored) --backend default would mislabel the file.
-        let backend = if encoding == "adaptive" {
-            "containers"
-        } else {
-            backend
-        };
         println!(
             "wrote {encoding}/{backend} index: {n_bitmaps} bitmaps, {:.1} KB → {out}",
             bytes as f64 / 1024.0
@@ -565,11 +552,6 @@ fn load_access_method(path: &str, d: &Arc<Dataset>) -> Result<Box<dyn AccessMeth
         b"IBRE" => dispatch!(RangeBitmapIndex),
         b"IBIE" => dispatch!(IntervalBitmapIndex),
         b"IBDX" => dispatch!(DecomposedBitmapIndex),
-        b"IBAD" => {
-            let idx = AdaptiveBitmapIndex::load(path).map_err(|e| e.to_string())?;
-            check_rows(idx.n_rows())?;
-            Ok(Box::new(idx) as Box<dyn AccessMethod>)
-        }
         b"IBVA" => {
             let va = VaFile::load(path).map_err(|e| e.to_string())?;
             check_rows(va.n_rows())?;
@@ -2069,26 +2051,25 @@ mod tests {
         .unwrap();
         let d = Dataset::load(&data).unwrap();
         let text = format!("{} = 1", d.column(0).name());
-        // Both adaptive surfaces: the container-exact index (its own IBAD
-        // magic) and a paper encoding stored in adaptive containers (the
-        // generic bitmap format with backend name "adaptive").
-        for (encoding, backend) in [("adaptive", None), ("bre", Some("adaptive"))] {
+        // The adaptive equality index (`bitmap-adaptive`) and a range
+        // encoding, both stored in adaptive containers (the generic bitmap
+        // format with backend name "adaptive").
+        for encoding in ["bee", "bre"] {
             let idx = dir
                 .join(format!("d.{encoding}.ad"))
                 .to_string_lossy()
                 .into_owned();
-            let mut args = vec![
+            run(&[
                 s("index"),
                 data.clone(),
                 s("--encoding"),
                 s(encoding),
+                s("--backend"),
+                s("adaptive"),
                 s("--out"),
                 idx.clone(),
-            ];
-            if let Some(b) = backend {
-                args.extend([s("--backend"), s(b)]);
-            }
-            run(&args).unwrap();
+            ])
+            .unwrap();
             run(&[
                 s("query"),
                 data.clone(),

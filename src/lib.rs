@@ -102,8 +102,7 @@ pub mod prelude {
         BPlusTree, BitstringAugmented, Mosaic, RTree, RTreeIncomplete, SequentialScan,
     };
     pub use ibis_bitmap::{
-        AdaptiveBitmapIndex, DecomposedBitmapIndex, EqualityBitmapIndex, IntervalBitmapIndex,
-        RangeBitmapIndex,
+        DecomposedBitmapIndex, EqualityBitmapIndex, IntervalBitmapIndex, RangeBitmapIndex,
     };
     pub use ibis_bitvec::{Adaptive, Bbc, BitVec64, Wah};
     pub use ibis_core::{

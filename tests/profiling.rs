@@ -28,10 +28,12 @@ fn query(data: &Dataset) -> RangeQuery {
 fn methods(data: &Dataset) -> Vec<Box<dyn AccessMethod>> {
     vec![
         Box::new(EqualityBitmapIndex::<Wah>::build(data)),
+        Box::new(EqualityBitmapIndex::<BitVec64>::build(data)),
+        Box::new(EqualityBitmapIndex::<Bbc>::build(data)),
         Box::new(RangeBitmapIndex::<Wah>::build(data)),
         Box::new(IntervalBitmapIndex::<Wah>::build(data)),
         Box::new(DecomposedBitmapIndex::<Wah>::build(data)),
-        Box::new(AdaptiveBitmapIndex::build(data)),
+        Box::new(EqualityBitmapIndex::<Adaptive>::build(data)),
         Box::new(VaFile::build(data).bind(Arc::new(data.clone()))),
         Box::new(SequentialScan.bind(Arc::new(data.clone()))),
     ]
@@ -68,7 +70,7 @@ fn adaptive_profile_reports_container_exact_counters() {
     let _serial = serial();
     let data = ibis::core::gen::census_scaled(500, 97);
     let q = query(&data);
-    let idx = AdaptiveBitmapIndex::build(&data);
+    let idx = EqualityBitmapIndex::<Adaptive>::build(&data);
     for threads in [1, 3] {
         let prof = ibis::profile::profile_method(&idx, &q, threads).unwrap();
         let c = prof.counters;
